@@ -2,9 +2,9 @@
 
 With only two classical bits and no shared entanglement, the preparer
 can at best group the instruction targets into four blocks and send the
-block label. Exhaustive search over all groupings gives the optimal
-strategy, and measured averages above it certify that entanglement
-contributed to the computation.
+block label. A dynamic programme over subsets of the targets finds the
+optimal grouping, and measured averages above its bound certify that
+entanglement contributed to the computation.
 """
 
 import math

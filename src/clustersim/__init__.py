@@ -5,10 +5,8 @@ feedforward, classical no-entanglement bounds, and coincidence statistics."""
 from .classical_bound import (
     GroupingStrategy,
     classical_bound,
-    enumerate_partitions,
     margin_report,
     optimal_group_state,
-    stirling2,
 )
 from .counts import (
     CountRecord,

@@ -40,24 +40,34 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def parse_angle(text: str) -> float:
-    """Radians; accepts floats and the literals pi, pi/2, -pi/2, etc."""
-    text = text.strip()
+def parse_angle(text: str, name: str = "angle") -> float:
+    """Radians; accepts finite floats and the literals pi, pi/2, -pi/2, etc."""
+    body = text.strip()
+    sign, literal = (-1.0, body[1:]) if body.startswith("-") else (1.0, body)
     try:
-        return float(text)
+        value = float(body)
     except ValueError:
-        pass
-    sign = 1.0
-    if text.startswith("-"):
-        sign, text = -1.0, text[1:]
-    if text == "pi":
-        return sign * math.pi
-    if text.startswith("pi/"):
-        try:
-            return sign * math.pi / float(text[3:])
-        except ValueError:
-            pass
-    raise UsageError(f"cannot parse angle {text!r}")
+        value = sign * math.pi if literal == "pi" else math.nan
+        if literal.startswith("pi/"):
+            try:
+                value = sign * math.pi / float(literal[3:])
+            except (ValueError, ZeroDivisionError):
+                pass
+    if not math.isfinite(value):
+        raise UsageError(f"{name} {text!r} is not a finite number of radians, pi or pi/k")
+    return value
+
+
+def _attach_angle_values(argv) -> list:
+    """Write `--alpha -pi/2` as `--alpha=-pi/2`: argparse takes a value that
+    starts with '-' and is not a plain number for an option."""
+    out = []
+    for token in argv:
+        if out and out[-1] in ("--alpha", "--beta") and token[:1] == "-" and token[:2] != "--":
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def _resource_state(noise: str | None):
@@ -153,7 +163,8 @@ def _cmd_mbqc(args) -> dict:
     if (args.alpha is None) != (args.beta is None):
         raise UsageError("--alpha and --beta must be given together")
     if args.alpha is not None:
-        instructions = [GateInstruction(parse_angle(args.alpha), parse_angle(args.beta))]
+        alpha, beta = parse_angle(args.alpha, "--alpha"), parse_angle(args.beta, "--beta")
+        instructions = [GateInstruction(alpha, beta)]
     elif args.task == "two-qubit":
         instructions = list(TWO_QUBIT_INSTRUCTIONS)
     else:
@@ -266,7 +277,7 @@ def build_parser() -> _Parser:
 def run(argv) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_angle_values(argv))
         if args.subcommand is None:
             raise UsageError("a subcommand is required")
         if args.subcommand == "sample":

@@ -1,6 +1,9 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
+from clustersim.classical_bound import MAX_TARGETS
 from clustersim.states import DensityMatrix, PureState
 
 
@@ -33,3 +36,69 @@ def ket(*factors) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+# --- set-partition oracle for classical_bound ------------------------------
+
+
+def enumerate_partitions(n: int, max_blocks: int):
+    """Yield every set partition of {0..n-1} with at most `max_blocks` blocks,
+    in restricted-growth-string lexicographic order."""
+    if not 1 <= max_blocks <= n:
+        raise ValueError("need 1 <= max_blocks <= n")
+    if n > MAX_TARGETS:
+        raise ValueError(f"n must be at most {MAX_TARGETS}")
+
+    rgs = [0] * n
+
+    def emit():
+        k = max(rgs) + 1
+        blocks = [[] for _ in range(k)]
+        for i, b in enumerate(rgs):
+            blocks[b].append(i)
+        return tuple(tuple(b) for b in blocks)
+
+    def recurse(i: int, current_max: int):
+        if i == n:
+            yield emit()
+            return
+        for b in range(min(current_max + 1, max_blocks - 1) + 1):
+            rgs[i] = b
+            yield from recurse(i + 1, max(current_max, b))
+
+    yield from recurse(1, 0)
+
+
+def stirling2(n: int, k: int) -> int:
+    """Stirling number of the second kind, by the standard recurrence."""
+
+    @lru_cache(maxsize=None)
+    def s(n, k):
+        if k == 0:
+            return 1 if n == 0 else 0
+        if k > n:
+            return 0
+        return k * s(n - 1, k) + s(n - 1, k - 1)
+
+    return s(n, k)
+
+
+def enumerated_bound(targets: list[PureState], bits: int):
+    """Exhaustive classical bound: (value, groups) of the first partition in
+    enumeration order that beats every earlier one by more than 1e-15."""
+    n = len(targets)
+    projectors = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in targets]
+    cache: dict[tuple, float] = {}
+
+    def block_value(block: tuple) -> float:
+        if block not in cache:
+            summed = sum(projectors[i] for i in block)
+            cache[block] = float(np.linalg.eigvalsh(summed)[-1])
+        return cache[block]
+
+    best_value, best_partition = -1.0, None
+    for partition in enumerate_partitions(n, min(2**bits, n)):
+        value = sum(block_value(b) for b in partition) / n
+        if value > best_value + 1e-15:
+            best_value, best_partition = value, partition
+    return best_value, best_partition

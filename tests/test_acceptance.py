@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from clustersim.classical_bound import classical_bound, margin_report, stirling2
+from clustersim.classical_bound import classical_bound, margin_report
 from clustersim.counts import born_distribution, outcome_string, sample_counts
 from clustersim.entclass import fidelity_ceiling, rank_signature
 from clustersim.mbqc import (
@@ -35,7 +35,7 @@ from clustersim.witness import (
     verify_dominance,
     witness_expectation,
 )
-from conftest import random_pure_state
+from conftest import random_pure_state, stirling2
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 

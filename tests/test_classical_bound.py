@@ -3,13 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from clustersim.classical_bound import (
-    classical_bound,
-    enumerate_partitions,
-    margin_report,
-    optimal_group_state,
-    stirling2,
-)
+from clustersim.classical_bound import classical_bound, margin_report, optimal_group_state
 from clustersim.mbqc import (
     SINGLE_QUBIT_INSTRUCTIONS,
     TWO_QUBIT_INSTRUCTIONS,
@@ -17,7 +11,7 @@ from clustersim.mbqc import (
     target_two_qubit,
 )
 from clustersim.states import PureState, named_state
-from conftest import random_pure_state
+from conftest import enumerate_partitions, enumerated_bound, random_pure_state, stirling2
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 
@@ -156,6 +150,70 @@ class TestClassicalBound:
         targets = [random_pure_state(1, rng) for _ in range(13)]
         with pytest.raises(ValueError):
             classical_bound(targets, bits=2)
+
+    def test_unequal_dimensions(self, rng):
+        targets = [random_pure_state(1, rng), random_pure_state(2, rng)]
+        with pytest.raises(ValueError, match="targets must have equal dimension"):
+            classical_bound(targets, bits=1)
+
+    @pytest.mark.parametrize("bits", [1.5, 2.0, "2", -1])
+    def test_bits_not_a_nonnegative_integer(self, rng, bits):
+        targets = [random_pure_state(1, rng) for _ in range(3)]
+        with pytest.raises(ValueError, match="bits"):
+            classical_bound(targets, bits=bits)
+
+    def test_paper_groupings(self):
+        two = [target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS]
+        single = [target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS]
+        assert classical_bound(two, bits=2)[1].groups == ((0, 1), (2, 3), (4, 5), (6, 7))
+        assert classical_bound(single, bits=2)[1].groups == ((0, 2), (1, 3), (4,), (5,))
+
+
+def _tie_heavy_targets(rng, kind: int, n: int) -> list:
+    """Random targets (kind 0) or ones with exact ties: repeats of a few
+    random states (1) or of the paper's two-qubit (2) or single-qubit (3)
+    targets."""
+    qubits = int(rng.integers(1, 3))
+    if kind == 0:
+        return [random_pure_state(qubits, rng) for _ in range(n)]
+    if kind == 1:
+        pool = [random_pure_state(qubits, rng) for _ in range(int(rng.integers(1, 4)))]
+    elif kind == 2:
+        pool = [target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS]
+    else:
+        pool = [target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS]
+    return [pool[int(rng.integers(len(pool)))] for _ in range(n)]
+
+
+class TestAgainstEnumeration:
+    """The subset DP against exhaustive enumeration of set partitions."""
+
+    def _agree(self, targets, bits):
+        value, strategy = classical_bound(targets, bits)
+        expected_value, expected_groups = enumerated_bound(targets, bits)
+        assert value == pytest.approx(expected_value, abs=1e-12)
+        assert strategy.groups == expected_groups
+        assert strategy.average_fidelity == value
+
+    @pytest.mark.parametrize("bits", [0, 1, 2, 3])
+    def test_paper_sets(self, bits):
+        self._agree([target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS], bits)
+        self._agree([target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS], bits)
+
+    def test_random_and_tied_targets(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(120):
+            n, bits = int(rng.integers(1, 9)), int(rng.integers(0, 4))
+            self._agree(_tie_heavy_targets(rng, trial % 4, n), bits)
+
+    def test_first_restricted_growth_string_among_ties(self):
+        # Several groupings tie here. Taking the first block with the most
+        # early targets would give ((0, 4), (1,), (2,), (3,)), which comes
+        # later in restricted-growth order (0, 1, 2, 3, 0 > 0, 1, 2, 2, 3).
+        targets = [target_two_qubit(TWO_QUBIT_INSTRUCTIONS[i]) for i in (0, 2, 4, 5, 1)]
+        _, strategy = classical_bound(targets, bits=2)
+        assert strategy.groups == ((0,), (1,), (2, 3), (4,))
+        self._agree(targets, 2)
 
 
 class TestMarginReport:

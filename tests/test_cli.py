@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -9,6 +12,7 @@ from clustersim.cli import parse_angle, run
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli_output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
+SRC_PATH = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_json(capsys, argv):
@@ -32,6 +36,13 @@ class TestParseAngle:
 
         with pytest.raises(UsageError):
             parse_angle("tau")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "pi/0", "pi/nan"])
+    def test_not_finite(self, text):
+        from clustersim.cli import UsageError
+
+        with pytest.raises(UsageError, match="--beta"):
+            parse_angle(text, "--beta")
 
 
 class TestWitnessCommand:
@@ -79,6 +90,34 @@ class TestMbqcCommand:
 
     def test_alpha_without_beta(self, capsys):
         assert run(["mbqc", "--task", "single", "--alpha", "0"]) == 1
+
+    @pytest.mark.parametrize(
+        "task, alpha, beta", [("two-qubit", "pi", "-pi/2"), ("single", "-pi/2", "0")]
+    )
+    def test_negative_angle_forms(self, capsys, task, alpha, beta):
+        spaced = run_json(capsys, ["mbqc", "--task", task, "--alpha", alpha, "--beta", beta])
+        joined = run_json(capsys, ["mbqc", "--task", task, f"--alpha={alpha}", f"--beta={beta}"])
+        assert spaced == joined
+        row = spaced["rows"][0]
+        assert (row["alpha"], row["beta"]) == (parse_angle(alpha), parse_angle(beta))
+        assert row["mean_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("flag, value", [("--alpha", "nan"), ("--alpha", "inf"), ("--beta", "-inf")])
+    def test_non_finite_angle_is_usage_error(self, capsys, flag, value):
+        angles = {"--alpha": "0", "--beta": "0", flag: value}
+        argv = ["mbqc", "--task", "single", "--alpha", angles["--alpha"], "--beta", angles["--beta"]]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert flag in err and value in err
+        assert "Traceback" not in err
+
+    def test_non_finite_angle_process_exit(self):
+        argv = [sys.executable, "-m", "clustersim.cli", "mbqc", "--task", "single"]
+        argv += ["--alpha", "nan", "--beta", "0"]
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert "--alpha" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestBoundsCommand:
