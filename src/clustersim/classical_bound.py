@@ -1,18 +1,17 @@
 """Optimal average fidelity achievable with limited classical communication
 and no entanglement.
 
-With c bits of communication the preparer can only group the instruction
-targets into at most 2^c blocks and send the block label; the receiver then
-prepares the best fixed state per block, worth the top eigenvalue of the
-block's summed projectors. The best grouping comes from the set-partition
-dynamic programme over target subsets (Björklund, Husfeldt & Koivisto,
-SIAM J. Comput. 2009).
+With c bits of communication the preparer can only group the targets into
+at most 2^c blocks and send the block label; the receiver then prepares the
+best fixed state per block, worth the top eigenvalue of the block's summed
+projectors. The best grouping comes from the set-partition dynamic programme
+over target subsets (Björklund, Husfeldt & Koivisto, SIAM J. Comput. 2009).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -45,65 +44,66 @@ def optimal_group_state(states: list[PureState]):
     return PureState.from_amplitudes(vecs[:, -1]), float(vals[-1])
 
 
-def _anchored_blocks(sets: np.ndarray, m: int) -> np.ndarray:
-    """Row by row, every subset of a set in `sets` (bit masks over m
-    elements, all of one size) that holds the set's lowest element."""
-    member = (sets[:, None] >> np.arange(m)) & 1
-    p = int(member[0].sum())
-    weight = (1 << np.nonzero(member)[1]).reshape(-1, p)
-    others = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1)) & 1
-    return (weight[:, :1] + weight[:, 1:] @ others.T).astype(np.int32)
-
-
 @lru_cache(maxsize=None)
 def _layer_tables(m: int) -> list:
-    """(sets, anchored blocks) per size of the nonempty subsets of m elements."""
+    """Chunks (sets of one size, row by row every subset of a set that holds
+    its lowest element) of int32 masks over m elements, at most 2048 blocks each."""
     masks = np.arange(1, 1 << m, dtype=np.int32)
-    size = ((masks[:, None] >> np.arange(m)) & 1).sum(axis=1)
-    return [(masks[size == p], _anchored_blocks(masks[size == p], m)) for p in range(1, m + 1)]
+    size = sum((masks >> j) & 1 for j in range(m))
+    chunks = []
+    for p in range(1, m + 1):
+        sets = masks[size == p]
+        member = np.nonzero((sets[:, None] >> np.arange(m)) & 1)[1].reshape(-1, p)
+        weight = (1 << member).astype(np.int32)
+        others = (np.arange(1 << (p - 1))[:, None] >> np.arange(p - 1) & 1).astype(np.int32)
+        blocks = weight[:, :1] + weight[:, 1:] @ others.T
+        step = max(1, 2048 >> (p - 1))
+        chunks += [(sets[i : i + step], blocks[i : i + step]) for i in range(0, len(sets), step)]
+    return chunks
 
 
 def classical_bound(targets: list[PureState], bits: int):
     """Maximize average fidelity over all groupings into at most 2^bits
-    blocks. Returns (optimal value, one argmax GroupingStrategy); among
-    optima within 1e-12 the grouping whose restricted-growth string comes
-    first in lexicographic order wins."""
+    blocks. Returns (optimal value, one argmax GroupingStrategy); among optima
+    within 1e-12, the first grouping in restricted-growth-string order wins."""
     if not isinstance(bits, (int, np.integer)) or bits < 0:
         raise ValueError("bits must be a nonnegative integer")
     n = len(targets)
     if not 1 <= n <= MAX_TARGETS:
         raise ValueError(f"need 1 to {MAX_TARGETS} targets")
-    dim = targets[0].amplitudes.size
-    if any(s.amplitudes.size != dim for s in targets):
+    if len({s.amplitudes.size for s in targets}) > 1:
         raise ValueError("targets must have equal dimension")
     nblocks = min(1 << min(int(bits), n), n)
 
-    # value[S]: summed fidelity of the best state for the targets in bit mask
-    # S; digit[S]: S's targets as base-nblocks digits 1, read from target 0.
-    sums = np.zeros((1 << n, dim, dim), dtype=complex)
-    digit = np.zeros(1 << n, dtype=np.int64)
-    for j, s in enumerate(targets):
-        sums[1 << j : 2 << j] = sums[: 1 << j] + np.outer(s.amplitudes, s.amplitudes.conj())
-        digit[1 << j : 2 << j] = digit[: 1 << j] + nblocks ** (n - 1 - j)
-    value = np.zeros(1 << n)
-    value[1:] = np.linalg.eigvalsh(sums[1:])[:, -1]
+    # value[S]: summed fidelity of the best state for the targets in bit mask S,
+    # from block sums built by doubling, 2^low at a time to bound memory.
+    proj = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in targets]
+    low, value = min(n, 7), np.empty(1 << n)
+    base = np.zeros((1 << low, *proj[0].shape), dtype=complex)
+    for j in range(low):
+        np.add(base[: 1 << j], proj[j], out=base[1 << j : 2 << j])
+    for high in range(1 << (n - low)):
+        chunk = reduce(np.add, [proj[j] for j in range(low, n) if high >> (j - low) & 1], base)
+        value[high << low : (high + 1) << low] = np.linalg.eigvalsh(chunk)[:, -1]
+    # digit[S]: S's targets as base-nblocks digits 1, read from target 0.
+    digit = sum((np.arange(1 << n) >> j & 1) * nblocks ** (n - 1 - j) for j in range(n))
 
-    # The k-th last block holds the lowest target left: it takes label
-    # nblocks - k and what is left for it lies in targets nblocks - k .. n-1.
-    # layers[k-1][.][S >> nblocks - k]: over at most k blocks of S, the best
-    # total, the least restricted-growth number attaining it, its first block.
+    # The k-th last block holds the lowest target left: it has label nblocks-k
+    # and what is left for it lies in targets nblocks-k .. n-1. layers[k-1][.]
+    # [S >> nblocks-k]: over at most k blocks of S, the best total, the least
+    # restricted-growth number attaining it, its first block.
     full, shift = (1 << n) - 1, nblocks - 1
-    top = [(np.array([full]), _anchored_blocks(np.array([full]), n))]
+    top = [(np.array([full]), (1 | np.arange(1 << (n - 1), dtype=np.int32) << 1)[None])]
     layers = [(value[:: 1 << shift], shift * digit[:: 1 << shift], None)]
     for k in range(2, nblocks + 1):
         shift = nblocks - k
-        own, own_digit = value[:: 1 << shift], digit[:: 1 << shift]
+        own, own_digit = value[:: 1 << shift], shift * digit[:: 1 << shift]
         below_best, below_key, _ = layers[-1]
         best, key, first = (np.zeros(own.size, t) for t in (float, np.int64, np.int32))
         for sets, blocks in _layer_tables(n - shift) if k < nblocks else top:
             rest = (sets[:, None] ^ blocks) >> 1
             score = own[blocks] + below_best[rest]
-            rgs = shift * own_digit[blocks] + below_key[rest]
+            rgs = own_digit[blocks] + below_key[rest]
             best[sets] = score.max(axis=1)
             rgs[score < best[sets, None] - 1e-12] = np.iinfo(np.int64).max
             pick = rgs.argmin(axis=1)[:, None]
