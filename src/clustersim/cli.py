@@ -59,11 +59,14 @@ def parse_angle(text: str, name: str = "angle") -> float:
 
 
 def _attach_angle_values(argv) -> list:
-    """Write `--alpha -pi/2` as `--alpha=-pi/2`: argparse takes a value that
-    starts with '-' and is not a plain number for an option."""
+    """Write `--alpha -pi/2` as `--alpha=-pi/2`, also for abbreviations such as
+    `--alph`: argparse takes a value that starts with '-' and is not a plain
+    number for an option."""
     out = []
     for token in argv:
-        if out and out[-1] in ("--alpha", "--beta") and token[:1] == "-" and token[:2] != "--":
+        flag = out[-1] if out else ""
+        angle_flag = len(flag) > 2 and ("--alpha".startswith(flag) or "--beta".startswith(flag))
+        if angle_flag and token.startswith("-") and not token.startswith("--"):
             out[-1] += "=" + token
         else:
             out.append(token)
@@ -136,12 +139,12 @@ def _cmd_schmidt(args) -> dict:
 
 
 def _mbqc_row(task, instr, noise):
-    if task == "two-qubit":
-        pattern = two_qubit_pattern(instr)
-        target = target_two_qubit(instr)
-    else:
-        pattern = single_rotation_pattern(instr)
-        target = target_single(instr)
+    two = task == "two-qubit"
+    try:
+        pattern = two_qubit_pattern(instr) if two else single_rotation_pattern(instr)
+    except ValueError as exc:  # only --alpha/--beta can ask for a gate the resource cannot realize
+        raise UsageError(f"--alpha {instr.alpha!r} --beta {instr.beta!r}: {exc}")
+    target = target_two_qubit(instr) if two else target_single(instr)
     n_branches = 2 ** len(pattern.steps)
     fids = []
     for i in range(n_branches):

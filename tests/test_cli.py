@@ -97,7 +97,8 @@ class TestMbqcCommand:
     def test_negative_angle_forms(self, capsys, task, alpha, beta):
         spaced = run_json(capsys, ["mbqc", "--task", task, "--alpha", alpha, "--beta", beta])
         joined = run_json(capsys, ["mbqc", "--task", task, f"--alpha={alpha}", f"--beta={beta}"])
-        assert spaced == joined
+        abbreviated = run_json(capsys, ["mbqc", "--task", task, "--alph", alpha, "--b", beta])
+        assert spaced == joined == abbreviated
         row = spaced["rows"][0]
         assert (row["alpha"], row["beta"]) == (parse_angle(alpha), parse_angle(beta))
         assert row["mean_fidelity"] == pytest.approx(1.0, abs=1e-9)
@@ -109,7 +110,11 @@ class TestMbqcCommand:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert flag in err and value in err
-        assert "Traceback" not in err
+
+    def test_unrealizable_angles_are_usage_error(self, capsys):
+        assert run(["mbqc", "--task", "single", "--alpha", "0.3", "--beta", "0.2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --alpha 0.3 --beta 0.2:") and "cannot realize" in err
 
     def test_non_finite_angle_process_exit(self):
         argv = [sys.executable, "-m", "clustersim.cli", "mbqc", "--task", "single"]
