@@ -23,7 +23,7 @@ from .mbqc import (
     two_qubit_pattern,
 )
 from .noise import NoiseSpec, apply_noise
-from .states import cluster4, fidelity, named_state
+from .states import PureState, cluster4, fidelity, named_state
 from .witness import build_b2, build_b4, required_settings, witness_expectation
 
 
@@ -79,30 +79,38 @@ def _resource_state(noise: str | None):
     if noise is None:
         return state
     try:
-        spec = NoiseSpec.parse(noise)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    return apply_noise(state, spec)
+        return apply_noise(state, NoiseSpec.parse(noise))
+    except ValueError as exc:  # an unparsable spec or a dephasing qubit outside 1..4
+        raise UsageError(f"--noise {noise!r}: {exc}")
 
 
 def _state_json(state) -> dict:
     return json.loads(state.to_json())
 
 
+def _bounds_from_counts(path: str) -> dict:
+    """B2 and B4 bounds from a counts file; None for a witness whose settings
+    the file does not cover."""
+    records = _read_counts(path)
+    result = {}
+    for name, obs in (("b2", build_b2()), ("b4", build_b4())):
+        try:
+            bound, sigma = counts_mod.witness_from_counts(records, obs)
+        except counts_mod.ZeroCountsError as exc:
+            raise DataError(str(exc))
+        except ValueError:  # no record covers some term of this witness
+            result[name] = None
+        else:
+            result[name] = {"bound": bound, "sigma": sigma}
+    if result["b2"] is None and result["b4"] is None:
+        raise DataError("counts file covers neither witness's settings")
+    return result
+
+
 def _cmd_witness(args) -> dict:
-    b2, b4 = build_b2(), build_b4()
     if args.counts:
-        records = _read_counts(args.counts)
-        result = {}
-        for name, obs in (("b2", b2), ("b4", b4)):
-            try:
-                bound, sigma = counts_mod.witness_from_counts(records, obs)
-                result[name] = {"bound": bound, "sigma": sigma}
-            except ValueError:
-                result[name] = None
-        if result["b2"] is None and result["b4"] is None:
-            raise DataError("counts file covers neither witness's settings")
-        return {"command": "witness", "source": "counts", **result}
+        return {"command": "witness", "source": "counts", **_bounds_from_counts(args.counts)}
+    b2, b4 = build_b2(), build_b4()
     state = _resource_state(args.noise)
     return {
         "command": "witness",
@@ -138,22 +146,17 @@ def _cmd_schmidt(args) -> dict:
     return out
 
 
-def _mbqc_row(task, instr, noise):
-    two = task == "two-qubit"
+def _mbqc_row(task, instr, resource):
     try:
-        pattern = two_qubit_pattern(instr) if two else single_rotation_pattern(instr)
+        pattern = two_qubit_pattern(instr) if task == "two-qubit" else single_rotation_pattern(instr)
     except ValueError as exc:  # only --alpha/--beta can ask for a gate the resource cannot realize
         raise UsageError(f"--alpha {instr.alpha!r} --beta {instr.beta!r}: {exc}")
-    target = target_two_qubit(instr) if two else target_single(instr)
-    n_branches = 2 ** len(pattern.steps)
-    fids = []
-    for i in range(n_branches):
-        branch = format(i, f"0{len(pattern.steps)}b")
-        if noise is None:
-            out, _, _ = execute(pattern, cluster4(), branch=branch)
-        else:
-            out, _, _ = execute_density(pattern, _resource_state(noise), branch)
-        fids.append(fidelity(out, target))
+    run_branch = execute if isinstance(resource, PureState) else execute_density
+    m = len(pattern.steps)
+    fids = [
+        fidelity(run_branch(pattern, resource, format(i, f"0{m}b"))[0], pattern.target)
+        for i in range(2**m)
+    ]
     return {
         "alpha": instr.alpha,
         "beta": instr.beta,
@@ -172,7 +175,8 @@ def _cmd_mbqc(args) -> dict:
         instructions = list(TWO_QUBIT_INSTRUCTIONS)
     else:
         instructions = list(SINGLE_QUBIT_INSTRUCTIONS)
-    rows = [_mbqc_row(args.task, instr, args.noise) for instr in instructions]
+    resource = _resource_state(args.noise)
+    rows = [_mbqc_row(args.task, instr, resource) for instr in instructions]
     return {"command": "mbqc", "task": args.task, "noise": args.noise, "rows": rows}
 
 
@@ -224,19 +228,7 @@ def _read_counts(path: str):
 
 
 def _cmd_ingest(args) -> dict:
-    records = _read_counts(args.counts)
-    result = {"command": "ingest", "file": args.counts}
-    covered_any = False
-    for name, obs in (("b2", build_b2()), ("b4", build_b4())):
-        try:
-            bound, sigma = counts_mod.witness_from_counts(records, obs)
-            result[name] = {"bound": bound, "sigma": sigma}
-            covered_any = True
-        except ValueError:
-            result[name] = None
-    if not covered_any:
-        raise DataError("counts file covers neither witness's settings")
-    return result
+    return {"command": "ingest", "file": args.counts, **_bounds_from_counts(args.counts)}
 
 
 def build_parser() -> _Parser:

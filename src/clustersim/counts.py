@@ -109,10 +109,14 @@ def exact_record(state, setting: TomographicSetting, total: int = 10**9) -> Coun
     return CountRecord(setting, np.rint(probs * total).astype(np.int64))
 
 
+class ZeroCountsError(ValueError):
+    """A record that an estimate needs has zero total counts."""
+
+
 def probabilities(rec: CountRecord) -> np.ndarray:
     """Counts normalized by the total number of events."""
     if rec.total == 0:
-        raise ValueError("record has zero total counts")
+        raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
     return rec.counts / rec.total
 
 
@@ -127,7 +131,7 @@ def expectation_from_counts(rec: CountRecord, word) -> tuple[float, float]:
     if not rec.setting.covers(word_str):
         raise ValueError(f"word {word_str!r} incompatible with setting {rec.setting.bases}")
     if rec.total == 0:
-        raise ValueError("record has zero total counts")
+        raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
     n = len(word_str)
     signs = np.ones(2**n)
     for i, letter in enumerate(word_str):

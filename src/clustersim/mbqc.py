@@ -1,35 +1,37 @@
 """One-way quantum-computing patterns on the four-qubit cluster resource.
 
 A pattern is an ordered list of single-qubit measurements plus a table of
-outcome-conditioned Pauli corrections on the output qubits. Corrections
-are derived by exhaustive search so that every outcome branch collapses,
-after correction, to the same circuit-model target state.
+outcome-conditioned Pauli corrections on the output qubits. One batched
+contraction of the resource (`_branches`) gives every outcome branch at once
+to feedforward derivation, pure and noisy execution and the reassignment
+check. Each branch's correction is the first Pauli word, in I < X < Y < Z
+order, that maps it onto the circuit-model target state.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .states import (
     CZ,
+    PAULI_MATRICES,
     RX,
     RZ,
     DensityMatrix,
     LocalBasis,
-    PauliString,
     PureState,
     apply_gate,
     cluster4,
-    fidelity,
-    measure,
     named_state,
 )
 
 FEEDFORWARD_FID_TOL = 1e-9
+
+_PAULIS = np.stack([PAULI_MATRICES[c] for c in "IXYZ"])
 
 
 @dataclass(frozen=True)
@@ -60,44 +62,96 @@ class MeasurementPattern:
             raise ValueError("corrections must have one entry per outcome bitstring")
 
 
-def _run_steps(steps, resource: PureState, branch: str):
-    """Measure the listed qubits in order with fixed outcomes; returns the
-    residual state on the unmeasured qubits and the branch probability."""
-    labels = list(range(1, resource.n_qubits + 1))
-    state = resource
-    prob = 1.0
-    for (qubit, basis), bit in zip(steps, branch):
-        pos = labels.index(qubit) + 1
-        p, _, state = measure(state, pos, basis, select=int(bit))
-        prob *= p
-        labels.pop(pos - 1)
-    return state, prob
+def _branches(steps, n: int, tensor: np.ndarray):
+    """Every outcome branch of the measurements on amplitudes (2^n,) or a
+    density matrix (2^n, 2^n). The measured axes go first, in step order; step
+    k contracts axis k of every branch so far with conj([v0, v1]) (a density
+    matrix's bra axis with its conjugate) and normalises, as `measure` does.
+    Returns (states, probs, conds): per branch b (first step most significant),
+    its state on the other qubits in label order and its probability (0 if a
+    step's conditional probability is below 1e-12); per step k, the
+    conditional probability of the last bit of each (k + 1)-bit prefix."""
+    mixed = tensor.ndim == 2
+    measured = [q - 1 for q, _ in steps]
+    order = measured + [a for a in range(n) if a not in measured]
+    t = tensor.reshape((2,) * n * tensor.ndim)
+    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + tensor.shape)
+    probs, conds = np.ones(1), []
+    for _, basis in steps:
+        bra, rows, d = np.conj(basis.vectors()), len(t), t.shape[1] // 2
+        t = (bra @ t.reshape(rows, 2, -1)).reshape((2 * rows, d) + t.shape[2:])
+        if mixed:
+            t = np.einsum("absjt,bj->abst", t.reshape(rows, 2, d, 2, d), bra.conj())
+            t = t.reshape(2 * rows, d, d)
+            p = np.trace(t, axis1=1, axis2=2).real
+        else:
+            p = np.linalg.norm(t, axis=1) ** 2
+        norm = np.where(p > 0, p if mixed else np.sqrt(p), 1.0)
+        t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
+        conds.append(p)
+        probs = (probs[:, None] * np.where(p < 1e-12, 0.0, p).reshape(rows, 2)).reshape(-1)
+    return t, probs, conds
+
+
+def _kron_rows(stack: np.ndarray, rows) -> np.ndarray:
+    """One Kronecker product of entries of a (b, r, c) stack per row of
+    indices into it, the first index giving the leftmost factor."""
+    rows = np.asarray(rows, dtype=int).reshape(len(rows), -1)
+    out = np.ones((len(rows), 1, 1), dtype=complex)
+    for column in rows.T:
+        (w, r, c), (_, r2, c2) = out.shape, stack.shape
+        out = out[:, :, None, :, None] * stack[column][:, None, :, None, :]
+        out = out.reshape(w, r * r2, c * c2)
+    return out
+
+
+def _pauli_ops(words) -> np.ndarray:
+    """Dense matrices of equal-length Pauli words."""
+    return _kron_rows(_PAULIS, [["IXYZ".index(c) for c in w] for w in words])
+
+
+def _run(pattern: MeasurementPattern, resource, branch, seed=None):
+    """One branch of a pure or density resource: (bitstring, normalised
+    uncorrected state, probability, correction matrix). Without `branch`, each
+    bit is drawn in step order from its conditional probability, one
+    `rng.random()` per step, as a sequential measurement draws it."""
+    if resource.n_qubits != pattern.resource_size:
+        raise ValueError("resource size does not match pattern")
+    tensor = resource.entries if isinstance(resource, DensityMatrix) else resource.amplitudes
+    states, probs, conds = _branches(pattern.steps, resource.n_qubits, tensor)
+    if branch is None:
+        rng, outcomes = np.random.default_rng(seed), ""
+        for p in conds:
+            outcomes += "01"[int(rng.random() >= p[2 * int("0" + outcomes, 2)])]
+    else:
+        outcomes = "".join(str(int(b)) for b in branch)
+        if set(outcomes) - set("01"):
+            raise ValueError("outcome bits must be 0 or 1")
+    op = _pauli_ops([pattern.corrections[outcomes]])[0]
+    index = int("0" + outcomes, 2)
+    if probs[index] == 0.0:
+        raise ValueError(f"branch {outcomes} has probability ~0")
+    return outcomes, states[index], float(probs[index]), op
 
 
 def derive_feedforward(steps, output_qubits, resource: PureState, target: PureState) -> dict:
-    """Find, for every outcome branch, the Pauli word on the output qubits
-    that maps the residual state onto the target.
-
-    Search order is lexicographic over I < X < Y < Z; raises if some branch
-    is not Pauli-equivalent to the target (wrong pattern or resource).
-    """
+    """Find, for every outcome branch, the first Pauli word on the output
+    qubits, in I < X < Y < Z order, that maps the residual state onto the
+    target (fidelity above 1 - FEEDFORWARD_FID_TOL), trying all words on all
+    branches in one batched product. Raises if some branch is impossible or
+    not Pauli-equivalent to the target (wrong pattern or resource)."""
     n_out = len(output_qubits)
-    corrections = {}
-    for bits in itertools.product("01", repeat=len(steps)):
-        branch = "".join(bits)
-        state, _ = _run_steps(steps, resource, branch)
-        for word in itertools.product("IXYZ", repeat=n_out):
-            word = "".join(word)
-            corrected = apply_gate(state, word, range(1, n_out + 1))
-            if fidelity(corrected, target) > 1 - FEEDFORWARD_FID_TOL:
-                corrections[branch] = word
-                break
-        else:
-            raise ValueError(
-                f"branch {branch}: no Pauli correction reaches the target "
-                "(resource cannot realize this gate)"
-            )
-    return corrections
+    states, probs, _ = _branches(steps, resource.n_qubits, resource.amplitudes)
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_out)]
+    overlaps = target.amplitudes.conj() @ (_pauli_ops(words) @ states.T)
+    hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs > 0)
+    branches = ["".join(b) for b in itertools.product("01", repeat=len(steps))]
+    if not hits.any(axis=0).all():
+        raise ValueError(
+            f"branch {branches[int(hits.any(axis=0).argmin())]}: no Pauli correction "
+            "reaches the target (resource cannot realize this gate)"
+        )
+    return {b: words[i] for b, i in zip(branches, hits.argmax(axis=0))}
 
 
 def target_two_qubit(instr: GateInstruction) -> PureState:
@@ -148,96 +202,40 @@ def execute(pattern: MeasurementPattern, resource: PureState, branch=None, seed=
     distribution using `seed`. Returns (corrected output state, outcome
     bitstring, branch probability).
     """
-    if resource.n_qubits != pattern.resource_size:
-        raise ValueError("resource size does not match pattern")
-    if branch is None:
-        rng = np.random.default_rng(seed)
-        labels = list(range(1, resource.n_qubits + 1))
-        state, prob, bits = resource, 1.0, []
-        for qubit, basis in pattern.steps:
-            pos = labels.index(qubit) + 1
-            v0 = basis.vectors()[0]
-            tensor = np.asarray(state.amplitudes).reshape((2,) * state.n_qubits)
-            p0 = float(
-                np.linalg.norm(np.tensordot(v0.conj(), tensor, axes=([0], [pos - 1]))) ** 2
-            )
-            bit = int(rng.random() >= p0)
-            p, _, state = measure(state, pos, basis, select=bit)
-            prob *= p
-            labels.pop(pos - 1)
-            bits.append(str(bit))
-        outcomes = "".join(bits)
-    else:
-        outcomes = "".join(str(int(b)) for b in branch)
-        state, prob = _run_steps(pattern.steps, resource, outcomes)
-    word = pattern.corrections[outcomes]
-    output = apply_gate(state, word, range(1, len(pattern.output_qubits) + 1))
-    return output, outcomes, prob
-
-
-def _projector_matrix(vec: np.ndarray, pos: int, n: int) -> np.ndarray:
-    """The (2^{n-1} x 2^n) map removing qubit `pos` by projecting on <vec|."""
-    left = np.eye(2 ** (pos - 1), dtype=complex)
-    right = np.eye(2 ** (n - pos), dtype=complex)
-    return np.kron(np.kron(left, vec.conj().reshape(1, 2)), right)
+    outcomes, state, prob, op = _run(pattern, resource, branch, seed)
+    return PureState(len(pattern.output_qubits), op @ state), outcomes, prob
 
 
 def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch):
     """Density-matrix variant of `execute` for noisy resources; the branch
     must be explicit."""
-    if resource.n_qubits != pattern.resource_size:
-        raise ValueError("resource size does not match pattern")
-    outcomes = "".join(str(int(b)) for b in branch)
-    labels = list(range(1, resource.n_qubits + 1))
-    rho = np.array(resource.entries)
-    n = resource.n_qubits
-    prob = 1.0
-    for (qubit, basis), bit in zip(pattern.steps, outcomes):
-        pos = labels.index(qubit) + 1
-        vec = basis.vectors()[int(bit)]
-        k = _projector_matrix(vec, pos, n)
-        rho = k @ rho @ k.conj().T
-        p = float(np.trace(rho).real)
-        if p < 1e-12:
-            raise ValueError(f"branch {outcomes} has probability ~0")
-        rho /= p
-        prob *= p
-        labels.pop(pos - 1)
-        n -= 1
-    word = pattern.corrections[outcomes]
-    op = PauliString(word).dense()
-    rho = op @ rho @ op.conj().T
-    return DensityMatrix(n, rho), outcomes, prob
+    if branch is None:
+        raise TypeError("execute_density needs an explicit branch")
+    outcomes, rho, prob, op = _run(pattern, resource, branch)
+    return DensityMatrix(len(pattern.output_qubits), op @ rho @ op.conj().T), outcomes, prob
 
 
 def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -> bool:
     """Check that applying the stored correction then measuring in Pauli
     bases is equivalent to measuring the uncorrected branch state in the
-    correction-conjugated (reassigned) bases, for every branch."""
-    n_out = len(pattern.output_qubits)
+    correction-conjugated (reassigned) bases, for every branch. One stack
+    holds the bras of all 3^k Pauli bases and 2^k outcomes on the k output
+    qubits, and <m|P psi> = <P^dagger m|psi>."""
+    n_out, m = len(pattern.output_qubits), len(pattern.steps)
     if pattern.target is not None:
-        reference = pattern.target
+        reference = pattern.target.amplitudes
     else:
-        out0, _, _ = execute(pattern, resource, branch="0" * len(pattern.steps))
-        reference = out0
-    for bits in itertools.product("01", repeat=len(pattern.steps)):
-        branch = "".join(bits)
-        state, _ = _run_steps(pattern.steps, resource, branch)
-        correction = PauliString(pattern.corrections[branch]).dense()
-        for letters in itertools.product("XYZ", repeat=n_out):
-            basis_vectors = [LocalBasis(kind).vectors() for kind in letters]
-            for outcome in itertools.product((0, 1), repeat=n_out):
-                bra = np.array([1.0], dtype=complex)
-                for (v0, v1), bit in zip(basis_vectors, outcome):
-                    bra = np.kron(bra, (v0, v1)[bit])
-                # original basis on the corrected reference state
-                p_ref = abs(np.vdot(bra, reference.amplitudes)) ** 2
-                # reassigned basis P^dagger |m> on the uncorrected branch
-                rotated = correction.conj().T @ bra
-                p_rot = abs(np.vdot(rotated, state.amplitudes)) ** 2
-                if abs(p_ref - p_rot) > 1e-9:
-                    return False
-    return True
+        reference = execute(pattern, resource, branch="0" * m)[0].amplitudes
+    states, probs, _ = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
+    if not probs.all():
+        raise ValueError("a branch of the pattern has probability ~0")
+    words = [pattern.corrections["".join(b)] for b in itertools.product("01", repeat=m)]
+    corrected = _pauli_ops(words) @ states[:, :, None]
+    letters = np.stack([LocalBasis(kind).vectors() for kind in "XYZ"]).reshape(6, 1, 2)
+    bras = _kron_rows(letters.conj(), list(itertools.product(range(6), repeat=n_out)))[:, 0]
+    p_ref = np.abs(bras @ reference) ** 2
+    p_rot = np.abs(bras @ corrected[:, :, 0].T) ** 2
+    return bool(np.all(np.abs(p_rot - p_ref[:, None]) <= 1e-9))
 
 
 # Instruction sweeps matching the two reference tables of gate settings.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clustersim.classical_bound import MAX_TARGETS
-from clustersim.states import DensityMatrix, PureState
+from clustersim.states import DensityMatrix, PureState, measure
 
 
 def random_pure_state(n_qubits: int, rng) -> PureState:
@@ -102,3 +102,36 @@ def enumerated_bound(targets: list[PureState], bits: int):
         if value > best_value + 1e-15:
             best_value, best_partition = value, partition
     return best_value, best_partition
+
+
+# --- sequential measurement oracle for the MBQC branch engine ---------------
+
+
+def sequential_branch(steps, resource: PureState, branch: str):
+    """Measure the listed qubits in order with fixed outcomes, one `measure`
+    per step; returns the residual state on the unmeasured qubits (ascending
+    labels) and the branch probability."""
+    labels = list(range(1, resource.n_qubits + 1))
+    state, prob = resource, 1.0
+    for (qubit, basis), bit in zip(steps, branch):
+        pos = labels.index(qubit) + 1
+        p, _, state = measure(state, pos, basis, select=int(bit))
+        prob *= p
+        labels.pop(pos - 1)
+    return state, prob
+
+
+def sequential_sample(steps, resource: PureState, seed):
+    """Draw the outcome bits one step at a time, as `measure` would with one
+    `rng.random()` per step; returns the outcome bitstring."""
+    rng = np.random.default_rng(seed)
+    labels = list(range(1, resource.n_qubits + 1))
+    state, bits = resource, ""
+    for qubit, basis in steps:
+        pos = labels.index(qubit) + 1
+        p0 = measure(state, pos, basis, select=0)[0]
+        bit = int(rng.random() >= p0)
+        _, _, state = measure(state, pos, basis, select=bit)
+        labels.pop(pos - 1)
+        bits += str(bit)
+    return bits

@@ -163,6 +163,21 @@ class TestSampleIngest:
     def test_missing_file_is_data_error(self, capsys):
         assert run(["ingest", "--counts", "/nonexistent/file.csv"]) == 2
 
+    @pytest.mark.parametrize("sub", ["ingest", "witness"])
+    def test_zero_total_setting_is_named(self, sub, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("setting,outcome,count\nZZXX,HH++,0\nXXZZ,++HH,5\n")
+        assert run([sub, "--counts", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: setting ZZXX has zero total counts")
+
+    @pytest.mark.parametrize("sub", ["ingest", "witness"])
+    def test_file_covering_neither_witness(self, sub, tmp_path, capsys):
+        path = tmp_path / "other.csv"
+        path.write_text("setting,outcome,count\nXXXX,++++,5\n")
+        assert run([sub, "--counts", str(path)]) == 2
+        assert "covers neither witness's settings" in capsys.readouterr().err
+
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("setting,outcome,count\nXXZZ,++HH,-3\n")
@@ -170,6 +185,23 @@ class TestSampleIngest:
 
 
 class TestDeterminismAndErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mbqc", "--task", "two-qubit", "--noise", "dephase:0.1:7"],
+            ["witness", "--noise", "dephase:0.1:0"],
+            ["sample", "--noise", "dephase:0.1:9"],
+        ],
+    )
+    def test_dephasing_qubit_out_of_range_process_exit(self, argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run(
+            [sys.executable, "-m", "clustersim.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: --noise") and "out of range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_identical_argv_identical_output(self, capsys):
         run(["sample", "--shots", "1000", "--seed", "11"])
         first = capsys.readouterr().out

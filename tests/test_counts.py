@@ -5,6 +5,7 @@ import pytest
 
 from clustersim.counts import (
     CountRecord,
+    ZeroCountsError,
     born_distribution,
     exact_record,
     expectation_from_counts,
@@ -99,9 +100,11 @@ class TestProbabilities:
         assert np.allclose(probabilities(rec), 1 / 16)
 
     def test_zero_total(self):
-        rec = CountRecord(TomographicSetting("ZZZZ"), np.zeros(16, dtype=int))
-        with pytest.raises(ValueError):
-            probabilities(rec)
+        rec = CountRecord(TomographicSetting("ZZXX"), np.zeros(16, dtype=int))
+        for call in (lambda: probabilities(rec), lambda: expectation_from_counts(rec, "ZZII")):
+            # a ValueError that names the setting
+            with pytest.raises(ZeroCountsError, match="setting ZZXX has zero total counts"):
+                call()
 
 
 class TestExpectationFromCounts:

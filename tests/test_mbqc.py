@@ -19,8 +19,8 @@ from clustersim.mbqc import (
     two_qubit_pattern,
 )
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import PureState, cluster4, fidelity, named_state
-from conftest import ket
+from clustersim.states import LocalBasis, PureState, cluster4, fidelity, named_state
+from conftest import ket, random_pure_state, sequential_branch, sequential_sample
 
 S2 = 1 / math.sqrt(2)
 H, V = [1, 0], [0, 1]
@@ -67,6 +67,91 @@ class TestTargets:
         target = target_two_qubit(GateInstruction(0, 0))
         expected = (ket(H, PLUS) + ket(V, MINUS)) / math.sqrt(2)
         assert np.allclose(np.abs(np.vdot(expected, target.amplitudes)) ** 2, 1.0)
+
+
+# The angle grid {0, +-pi/2, pi}^2, on which both patterns derive, and the
+# correction words (branches in ascending order) that the sequential
+# exhaustive search found on it.
+GRID = (0.0, PI / 2, -PI / 2, PI)
+GRID_WORDS = {
+    "two-qubit": lambda a, b: "II IZ IX IY" if b in (0.0, PI) else "II IZ IY IX",
+    "single": lambda a, b: (
+        "I I Y Y Y Y I I" if a in (0.0, PI) else
+        "I X X I X I I X" if b in (0.0, PI) else "I X X I I X X I"
+    ),
+}
+
+# Outcomes of execute(pattern, cluster4(), seed=s) for s = 0..19, recorded
+# from the sequential sampler.
+SEEDED_OUTCOMES = [
+    (two_qubit_pattern, (0.3, 1.1), "10 11 00 00 11 11 10 11 01 10 10 00 01 11 10 11 10 10 01 01"),
+    (
+        single_rotation_pattern,
+        (PI / 2, -PI / 2),
+        "100 110 001 001 111 111 100 111 010 101 101 001 010 111 101 110 100 101 010 010",
+    ),
+]
+
+
+def _random_pattern(rng) -> MeasurementPattern:
+    """1-3 measurements in random planar bases, in random order, on a
+    4-qubit register; every correction is the identity."""
+    measured = [int(q) for q in rng.permutation(4)[: rng.integers(1, 4)] + 1]
+    steps = [
+        (q, LocalBasis(str(rng.choice(["planar_std", "planar_had"])), rng.uniform(-PI, PI)))
+        for q in measured
+    ]
+    outputs = tuple(q for q in range(1, 5) if q not in measured)
+    identity = "I" * len(outputs)
+    corrections = {"".join(b): identity for b in itertools.product("01", repeat=len(steps))}
+    return MeasurementPattern(4, steps, outputs, corrections)
+
+
+class TestBranchEngine:
+    """The batched branch engine against the sequential `measure` runner."""
+
+    def test_branches_match_sequential_runner(self, rng):
+        for _ in range(40):
+            resource, pattern = random_pure_state(4, rng), _random_pattern(rng)
+            rho = resource.to_density()
+            for bits in itertools.product("01", repeat=len(pattern.steps)):
+                branch = "".join(bits)
+                out, outcomes, prob = execute(pattern, resource, branch=branch)
+                ref, ref_prob = sequential_branch(pattern.steps, resource, branch)
+                assert outcomes == branch
+                assert abs(prob - ref_prob) <= 1e-12
+                assert np.max(np.abs(out.amplitudes - ref.amplitudes)) <= 1e-12
+                out_d, _, prob_d = execute_density(pattern, rho, branch)
+                assert abs(prob_d - prob) <= 1e-12
+                expected = np.outer(out.amplitudes, out.amplitudes.conj())
+                assert np.max(np.abs(out_d.entries - expected)) <= 1e-12
+
+    def test_seeded_draws_match_sequential_sampler(self, rng):
+        for _ in range(20):
+            resource, pattern = random_pure_state(4, rng), _random_pattern(rng)
+            for seed in range(10):
+                _, outcomes, prob = execute(pattern, resource, seed=seed)
+                assert outcomes == sequential_sample(pattern.steps, resource, seed)
+                assert abs(prob - sequential_branch(pattern.steps, resource, outcomes)[1]) <= 1e-12
+
+    @pytest.mark.parametrize("build,angles,expected", SEEDED_OUTCOMES)
+    def test_seeded_outcomes_pinned(self, build, angles, expected):
+        pattern = build(GateInstruction(*angles))
+        drawn = [execute(pattern, cluster4(), seed=s)[1] for s in range(20)]
+        assert " ".join(drawn) == expected
+
+    def test_impossible_branch_rejected(self):
+        product = PureState.from_amplitudes(ket(H, H, H, H))
+        pattern = MeasurementPattern(
+            4, [(1, LocalBasis.z())], (2, 3, 4), {"0": "III", "1": "III"}
+        )
+        assert execute(pattern, product, branch="0")[2] == pytest.approx(1.0)
+        with pytest.raises(ValueError):
+            execute(pattern, product, branch="1")
+        with pytest.raises(ValueError):
+            execute_density(pattern, product.to_density(), "1")
+        with pytest.raises(ValueError):
+            execute(pattern, product, branch="2")
 
 
 class TestTwoQubitPattern:
@@ -124,6 +209,14 @@ class TestDeriveFeedforward:
                 pattern.steps, pattern.output_qubits, product, target_two_qubit(GateInstruction(0, 0))
             )
 
+    @pytest.mark.parametrize("alpha", GRID)
+    @pytest.mark.parametrize("beta", GRID)
+    def test_grid_words_match_sequential_search(self, alpha, beta):
+        instr = GateInstruction(alpha, beta)
+        for task, build in (("two-qubit", two_qubit_pattern), ("single", single_rotation_pattern)):
+            words = build(instr).corrections
+            assert " ".join(words[b] for b in sorted(words)) == GRID_WORDS[task](alpha, beta)
+
     def test_every_branch_has_a_word(self):
         for instr in TWO_QUBIT_INSTRUCTIONS:
             pattern = two_qubit_pattern(instr)
@@ -176,6 +269,16 @@ class TestBasisReassignment:
             pattern.resource_size, pattern.steps, pattern.output_qubits, corrupted, pattern.target
         )
         assert not basis_reassignment_check(bad, cluster4())
+
+    def test_corrupted_single_rotation_detected(self):
+        pattern = single_rotation_pattern(GateInstruction(PI / 2, PI / 2))
+        flip = {"I": "X", "X": "I", "Y": "Z", "Z": "Y"}  # the word times X, up to phase
+        for branch, word in pattern.corrections.items():
+            corrupted = {**pattern.corrections, branch: flip[word]}
+            bad = MeasurementPattern(
+                pattern.resource_size, pattern.steps, pattern.output_qubits, corrupted, pattern.target
+            )
+            assert not basis_reassignment_check(bad, cluster4())
 
 
 class TestPatternValidation:
