@@ -33,7 +33,7 @@ from .mbqc import (
     target_two_qubit,
     two_qubit_pattern,
 )
-from .noise import NoiseSpec, apply_noise, fit_white_p
+from .noise import NoiseSpec, apply_noise
 from .states import (
     CZ,
     RX,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _pauli_kernel
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 # Rows are the bras of outcome 0 and outcome 1 for each setting letter.
@@ -132,12 +132,8 @@ def expectation_from_counts(rec: CountRecord, word) -> tuple[float, float]:
         raise ValueError(f"word {word_str!r} incompatible with setting {rec.setting.bases}")
     if rec.total == 0:
         raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
-    n = len(word_str)
-    signs = np.ones(2**n)
-    for i, letter in enumerate(word_str):
-        if letter != "I":
-            bits = (np.arange(2**n) >> (n - 1 - i)) & 1
-            signs *= 1.0 - 2.0 * bits
+    support = word_str.translate(str.maketrans("XY", "ZZ"))
+    signs = _pauli_kernel((support,), len(word_str))[1][0].real
     total = rec.total
     value = float(np.dot(signs, rec.counts)) / total
     sigma = math.sqrt(float(np.dot(rec.counts, (signs - value) ** 2))) / total

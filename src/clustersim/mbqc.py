@@ -18,20 +18,18 @@ import numpy as np
 
 from .states import (
     CZ,
-    PAULI_MATRICES,
     RX,
     RZ,
     DensityMatrix,
     LocalBasis,
     PureState,
+    _pauli_dense,
     apply_gate,
     cluster4,
     named_state,
 )
 
 FEEDFORWARD_FID_TOL = 1e-9
-
-_PAULIS = np.stack([PAULI_MATRICES[c] for c in "IXYZ"])
 
 
 @dataclass(frozen=True)
@@ -105,11 +103,6 @@ def _kron_rows(stack: np.ndarray, rows) -> np.ndarray:
     return out
 
 
-def _pauli_ops(words) -> np.ndarray:
-    """Dense matrices of equal-length Pauli words."""
-    return _kron_rows(_PAULIS, [["IXYZ".index(c) for c in w] for w in words])
-
-
 def _run(pattern: MeasurementPattern, resource, branch, seed=None):
     """One branch of a pure or density resource: (bitstring, normalised
     uncorrected state, probability, correction matrix). Without `branch`, each
@@ -127,7 +120,7 @@ def _run(pattern: MeasurementPattern, resource, branch, seed=None):
         outcomes = "".join(str(int(b)) for b in branch)
         if set(outcomes) - set("01"):
             raise ValueError("outcome bits must be 0 or 1")
-    op = _pauli_ops([pattern.corrections[outcomes]])[0]
+    op = _pauli_dense((pattern.corrections[outcomes],), len(pattern.output_qubits))[0]
     index = int("0" + outcomes, 2)
     if probs[index] == 0.0:
         raise ValueError(f"branch {outcomes} has probability ~0")
@@ -143,7 +136,7 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     n_out = len(output_qubits)
     states, probs, _ = _branches(steps, resource.n_qubits, resource.amplitudes)
     words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_out)]
-    overlaps = target.amplitudes.conj() @ (_pauli_ops(words) @ states.T)
+    overlaps = target.amplitudes.conj() @ (_pauli_dense(tuple(words), n_out) @ states.T)
     hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs > 0)
     branches = ["".join(b) for b in itertools.product("01", repeat=len(steps))]
     if not hits.any(axis=0).all():
@@ -230,7 +223,7 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     if not probs.all():
         raise ValueError("a branch of the pattern has probability ~0")
     words = [pattern.corrections["".join(b)] for b in itertools.product("01", repeat=m)]
-    corrected = _pauli_ops(words) @ states[:, :, None]
+    corrected = _pauli_dense(tuple(words), n_out) @ states[:, :, None]
     letters = np.stack([LocalBasis(kind).vectors() for kind in "XYZ"]).reshape(6, 1, 2)
     bras = _kron_rows(letters.conj(), list(itertools.product(range(6), repeat=n_out)))[:, 0]
     p_ref = np.abs(bras @ reference) ** 2

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PAULI_MATRICES, DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _pauli_kernel
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,8 @@ class NoiseSpec:
             raise ValueError("noise parameter must lie in [0, 1]")
         if self.qubits is not None:
             object.__setattr__(self, "qubits", tuple(self.qubits))
+            if len(set(self.qubits)) != len(self.qubits):
+                raise ValueError(f"dephasing qubit labels must be distinct, got {self.qubits}")
 
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
@@ -41,10 +43,9 @@ class NoiseSpec:
 
 
 def _dephase_one(rho: np.ndarray, p: float, qubit: int, n: int) -> np.ndarray:
-    z = np.array([[1.0]], dtype=complex)
-    for q in range(1, n + 1):
-        z = np.kron(z, PAULI_MATRICES["Z" if q == qubit else "I"])
-    return (1 - p) * rho + p * (z @ rho @ z)
+    """(1 - p) rho + p Z rho Z, where Z rho Z = (s s^T) * rho for Z's signs s."""
+    s = _pauli_kernel(("Z",), n, (qubit,))[1][0].real
+    return (1 - p) * rho + p * (np.outer(s, s) * rho)
 
 
 def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
@@ -62,10 +63,3 @@ def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
             rho = _dephase_one(rho, spec.p, q, n)
     return DensityMatrix(n, rho)
 
-
-def fit_white_p(b4_value: float) -> float:
-    """Invert the linear relation between white-noise weight and the
-    four-setting witness value (they are equal)."""
-    if not 0.0 <= b4_value <= 1.0:
-        raise ValueError("witness value must lie in [0, 1]")
-    return b4_value

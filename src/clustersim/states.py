@@ -3,12 +3,16 @@
 Conventions used throughout the package:
   * Qubit 1 is the most significant bit of the amplitude index, so the
     Pauli word "ZZII" reads left-to-right as Z on qubits 1 and 2.
+  * A Pauli word acts in its binary form (x_mask, z_mask, #Y), bit n - q of
+    x_mask (z_mask) set where qubit q carries X or Y (Z or Y): it maps basis
+    index i to i ^ x_mask with phase i^#Y (-1)^parity(i & z_mask).
   * Basis label 0 is |H> (horizontal polarization), 1 is |V>.
   * All state comparisons are fidelity-based; global phase is never fixed.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,13 +21,6 @@ import numpy as np
 
 NORM_ATOL = 1e-10
 PSD_ATOL = 1e-8
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
 
 
 @dataclass(frozen=True)
@@ -126,10 +123,7 @@ class PauliString:
             raise ValueError(f"invalid Pauli word {self.word!r}")
 
     def dense(self) -> np.ndarray:
-        op = np.array([[self.coefficient]], dtype=complex)
-        for letter in self.word:
-            op = np.kron(op, PAULI_MATRICES[letter])
-        return op
+        return self.coefficient * _pauli_dense((self.word,), len(self.word))[0]
 
 
 @dataclass(frozen=True)
@@ -227,8 +221,39 @@ def basis_index(label: str) -> int:
     return idx
 
 
-def _bit(index: int, qubit: int, n: int) -> int:
-    return (index >> (n - qubit)) & 1
+@functools.lru_cache(maxsize=64)
+def _pauli_kernel(words: tuple, n: int, qubits: tuple | None = None):
+    """Binary form of equal-length Pauli words on the listed qubits (default
+    1..n): read-only (flip, phase) of shape (len(words), 2^n), P_w|i> =
+    phase[w, i] |flip[w, i]>, with flip = i ^ x_mask and phase = i^(#Y + 2
+    parity(i & z_mask)), parity by XOR-folding. Cached, as words recur."""
+    masks = []
+    for word in words:
+        if set(word) - set("IXYZ"):
+            raise ValueError(f"invalid Pauli word {word!r}")
+        x = z = 0
+        for letter, q in zip(word, qubits or range(1, n + 1)):
+            x |= (letter in "XY") << (n - q)
+            z |= (letter in "YZ") << (n - q)
+        masks.append((x, z, word.count("Y")))
+    x, z, n_y = np.array(masks).T[:, :, None]
+    idx = np.arange(2**n)
+    v, shift = idx & z, 1
+    while shift < n:
+        v ^= v >> shift
+        shift <<= 1
+    flip, phase = idx ^ x, np.array([1, 1j, -1, -1j])[(2 * v + n_y) & 3]
+    flip.flags.writeable = phase.flags.writeable = False
+    return flip, phase
+
+
+def _pauli_dense(words: tuple, n: int) -> np.ndarray:
+    """Dense matrices of equal-length Pauli words, shape (len(words), 2^n,
+    2^n): each word's phase scattered to (flip[i], i)."""
+    flip, phase = _pauli_kernel(words, n)
+    ops = np.zeros(flip.shape + flip.shape[-1:], dtype=complex)
+    ops[np.arange(len(flip))[:, None], flip, np.arange(2**n)] = phase
+    return ops
 
 
 # --- named resource states ---------------------------------------------
@@ -305,17 +330,14 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
     elif gate is CZ or isinstance(gate, CZ):
         if len(qubits) != 2:
             raise ValueError("CZ takes exactly two qubit labels")
-        q1, q2 = qubits
-        for i in range(amps.size):
-            if _bit(i, q1, n) and _bit(i, q2, n):
-                amps[i] = -amps[i]
+        idx = np.arange(amps.size)
+        amps *= 1 - 2 * ((idx >> (n - qubits[0])) & (idx >> (n - qubits[1])) & 1)
     elif isinstance(gate, (str, PauliString)):
         word = gate.word if isinstance(gate, PauliString) else gate
         if len(word) != len(qubits):
             raise ValueError("Pauli word length must match qubit list")
-        for letter, q in zip(word, qubits):
-            if letter != "I":
-                amps = _apply_single_qubit(amps, PAULI_MATRICES[letter], q, n)
+        (flip,), (phase,) = _pauli_kernel((word,), n, tuple(qubits))
+        amps = (phase * amps)[flip]
     else:
         raise ValueError(f"unknown gate {gate!r}")
     return PureState(n, amps)
@@ -336,25 +358,18 @@ def fidelity(a, target: PureState) -> float:
 
 
 def pauli_expectation(state, p) -> float:
-    """Expectation value of a Pauli string (coefficient included)."""
-    word = p.word if isinstance(p, PauliString) else p
-    coeff = p.coefficient if isinstance(p, PauliString) else 1.0
+    """Expectation value of a Pauli string (coefficient included), in O(2^n):
+    Tr(P rho) = sum_i phase[i] rho[i, flip[i]] on a density matrix."""
+    p = p if isinstance(p, PauliString) else PauliString(p)
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state)}")
+    if len(p.word) != state.n_qubits:
+        raise ValueError("word length does not match register")
+    (flip,), (phase,) = _pauli_kernel((p.word,), state.n_qubits)
     if isinstance(state, PureState):
-        n = state.n_qubits
-        if len(word) != n:
-            raise ValueError("word length does not match register")
-        amps = np.array(state.amplitudes)
-        for letter, q in zip(word, range(1, n + 1)):
-            if letter != "I":
-                amps = _apply_single_qubit(amps, PAULI_MATRICES[letter], q, n)
-        return coeff * float(np.real(np.vdot(state.amplitudes, amps)))
-    if isinstance(state, DensityMatrix):
-        n = state.n_qubits
-        if len(word) != n:
-            raise ValueError("word length does not match register")
-        op = PauliString(word).dense()
-        return coeff * float(np.real(np.trace(op @ state.entries)))
-    raise TypeError(f"unsupported state type {type(state)}")
+        psi = state.amplitudes
+        return p.coefficient * float(np.real(np.vdot(psi, (phase * psi)[flip])))
+    return p.coefficient * float(np.real(np.dot(phase, state.entries[np.arange(flip.size), flip])))
 
 
 def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=None):

@@ -33,6 +33,21 @@ def ket(*factors) -> np.ndarray:
     return out
 
 
+def dense_pauli(word: str) -> np.ndarray:
+    """Kronecker product of the word's single-qubit matrices, the oracle for
+    the binary Pauli kernel."""
+    mats = {
+        "I": np.eye(2),
+        "X": np.array([[0, 1], [1, 0]]),
+        "Y": np.array([[0, -1j], [1j, 0]]),
+        "Z": np.array([[1, 0], [0, -1]]),
+    }
+    op = np.array([[1.0]], dtype=complex)
+    for c in word:
+        op = np.kron(op, mats[c])
+    return op
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -202,6 +202,18 @@ class TestDeterminismAndErrors:
         assert proc.stderr.startswith("usage error: --noise") and "out of range" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_repeated_dephasing_qubit_is_usage_error(self, capsys):
+        assert run(["witness", "--noise", "dephase:0.1:1,1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: --noise 'dephase:0.1:1,1'")
+
+    def test_repeated_dephasing_qubit_process_exit(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "clustersim.cli", "witness", "--noise", "dephase:0.1:1,1"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: --noise") and "distinct" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_identical_argv_identical_output(self, capsys):
         run(["sample", "--shots", "1000", "--seed", "11"])
         first = capsys.readouterr().out

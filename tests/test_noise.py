@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from clustersim.noise import NoiseSpec, apply_noise, fit_white_p
+from clustersim.noise import NoiseSpec, apply_noise
 from clustersim.states import cluster4, fidelity, named_state, pauli_expectation
 from clustersim.witness import build_b2, build_b4, witness_expectation
 
@@ -21,6 +21,16 @@ class TestNoiseSpec:
         for bad in ("white", "white:2.0", "purple:0.1", "dephase:0.1:1:2"):
             with pytest.raises(ValueError):
                 NoiseSpec.parse(bad)
+
+    def test_invalid_p(self):
+        with pytest.raises(ValueError):
+            NoiseSpec("white", -0.1)
+
+    def test_repeated_dephasing_qubit(self):
+        with pytest.raises(ValueError, match="distinct"):
+            NoiseSpec.parse("dephase:0.1:1,1")
+        with pytest.raises(ValueError, match="distinct"):
+            NoiseSpec("dephase", 0.1, [2, 3, 2])
 
 
 class TestWhiteNoise:
@@ -72,25 +82,3 @@ class TestDephasing:
         with pytest.raises(ValueError):
             apply_noise(cluster4(), NoiseSpec("dephase", 0.1, (7,)))
 
-
-class TestFitWhiteP:
-    def test_anchor(self):
-        assert fit_white_p(0.860) == 0.860
-
-    def test_endpoints(self):
-        assert fit_white_p(0.0) == 0.0
-        assert fit_white_p(1.0) == 1.0
-
-    def test_round_trip(self):
-        for value in (0.2, 0.66, 0.95):
-            p = fit_white_p(value)
-            rho = apply_noise(cluster4(), NoiseSpec("white", p))
-            assert witness_expectation(rho, build_b4()) == pytest.approx(value, abs=1e-12)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            fit_white_p(1.5)
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            NoiseSpec("white", -0.1)

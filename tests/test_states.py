@@ -22,23 +22,9 @@ from clustersim.states import (
     pauli_expectation,
     schmidt_coefficients,
 )
-from conftest import ket, random_pure_state
+from conftest import dense_pauli, ket, random_pure_state
 
 S2 = 1 / math.sqrt(2)
-
-
-def dense_pauli(word: str) -> np.ndarray:
-    """Brute-force Kronecker construction, the oracle for pauli_expectation."""
-    mats = {
-        "I": np.eye(2),
-        "X": np.array([[0, 1], [1, 0]]),
-        "Y": np.array([[0, -1j], [1j, 0]]),
-        "Z": np.array([[1, 0], [0, -1]]),
-    }
-    op = np.array([[1.0]], dtype=complex)
-    for c in word:
-        op = np.kron(op, mats[c])
-    return op
 
 
 class TestCluster4:
@@ -181,6 +167,13 @@ class TestPauliExpectation:
     def test_word_length_mismatch(self):
         with pytest.raises(ValueError):
             pauli_expectation(cluster4(), "ZZ")
+
+    def test_invalid_letter(self):
+        for state in (cluster4(), cluster4().to_density()):
+            with pytest.raises(ValueError, match="invalid Pauli word"):
+                pauli_expectation(state, "ZZIA")
+        with pytest.raises(ValueError, match="invalid Pauli word"):
+            apply_gate(cluster4(), "Q", [1])
 
 
 class TestMeasure:
