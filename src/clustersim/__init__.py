@@ -2,6 +2,8 @@
 fidelity witnesses, Schmidt-rank discrimination, one-way QC patterns with
 feedforward, classical no-entanglement bounds, and coincidence statistics."""
 
+from types import ModuleType as _ModuleType
+
 from .classical_bound import (
     GroupingStrategy,
     classical_bound,
@@ -60,5 +62,5 @@ from .witness import (
     witness_expectation,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [k for k, v in globals().items() if not (k.startswith("_") or isinstance(v, _ModuleType))]
 __version__ = "0.1.0"

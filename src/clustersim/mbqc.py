@@ -4,12 +4,15 @@ A pattern is an ordered list of single-qubit measurements plus a table of
 outcome-conditioned Pauli corrections on the output qubits. One batched
 contraction of the resource (`_branches`) gives every outcome branch at once
 to feedforward derivation, pure and noisy execution and the reassignment
-check. Each branch's correction is the first Pauli word, in I < X < Y < Z
-order, that maps it onto the circuit-model target state.
+check. It is memoised by content, so a pattern's branches are contracted once
+per resource (8 kept, at worst about 256·4^n bytes: 64 KiB at n = 4). Each
+branch's correction is the first Pauli word, in I < X < Y < Z order, that
+maps it onto the circuit-model target state.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,18 +65,28 @@ class MeasurementPattern:
 
 def _branches(steps, n: int, tensor: np.ndarray):
     """Every outcome branch of the measurements on amplitudes (2^n,) or a
-    density matrix (2^n, 2^n). The measured axes go first, in step order; step
-    k contracts axis k of every branch so far with conj([v0, v1]) (a density
-    matrix's bra axis with its conjugate) and normalises, as `measure` does.
-    Returns (states, probs, conds): per branch b (first step most significant),
-    its state on the other qubits in label order and its probability (0 if a
-    step's conditional probability is below 1e-12); per step k, the
-    conditional probability of the last bit of each (k + 1)-bit prefix."""
-    mixed = tensor.ndim == 2
+    density matrix (2^n, 2^n), memoised by content in `_branch_table`.
+    Returns read-only (states, probs, conds): per branch b (first step most
+    significant), its state on the other qubits in label order and its
+    probability (0 if a step's conditional probability is below 1e-12); per
+    step k, the conditional probability of the last bit of each (k + 1)-bit
+    prefix."""
+    return _branch_table(tuple((q, b) for q, b in steps), n, tensor.shape, tensor.tobytes())
+
+
+# An entry holds the resource's bytes (its key) and its branch states, each at
+# most 16·4^n bytes on n qubits (16·2^n for amplitudes), and O(2^m) floats:
+# 8 entries stay under about 256·4^n bytes, 64 KiB at n = 4, 16 MiB at n = 8.
+@functools.lru_cache(maxsize=8)
+def _branch_table(steps: tuple, n: int, shape: tuple, data: bytes):
+    """The measured axes go first, in step order; step k contracts axis k of
+    every branch so far with conj([v0, v1]) (a density matrix's bra axis with
+    its conjugate) and normalises, as `measure` does."""
+    mixed = len(shape) == 2
     measured = [q - 1 for q, _ in steps]
     order = measured + [a for a in range(n) if a not in measured]
-    t = tensor.reshape((2,) * n * tensor.ndim)
-    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + tensor.shape)
+    t = np.frombuffer(data, dtype=complex).reshape((2,) * n * len(shape))
+    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + shape)
     probs, conds = np.ones(1), []
     for _, basis in steps:
         bra, rows, d = np.conj(basis.vectors()), len(t), t.shape[1] // 2
@@ -88,19 +101,21 @@ def _branches(steps, n: int, tensor: np.ndarray):
         t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
         conds.append(p)
         probs = (probs[:, None] * np.where(p < 1e-12, 0.0, p).reshape(rows, 2)).reshape(-1)
-    return t, probs, conds
+    for a in (t, probs, *conds):
+        a.flags.writeable = False
+    return t, probs, tuple(conds)
 
 
-def _kron_rows(stack: np.ndarray, rows) -> np.ndarray:
-    """One Kronecker product of entries of a (b, r, c) stack per row of
-    indices into it, the first index giving the leftmost factor."""
-    rows = np.asarray(rows, dtype=int).reshape(len(rows), -1)
-    out = np.ones((len(rows), 1, 1), dtype=complex)
-    for column in rows.T:
-        (w, r, c), (_, r2, c2) = out.shape, stack.shape
-        out = out[:, :, None, :, None] * stack[column][:, None, :, None, :]
-        out = out.reshape(w, r * r2, c * c2)
-    return out
+@functools.lru_cache(maxsize=4)
+def _pauli_bras(k: int) -> np.ndarray:
+    """Read-only bras (6^k, 2^k) of all 3^k Pauli bases and 2^k outcomes on k
+    qubits, the first qubit's (X0, X1, Y0 .. Z1) slowest; 16·12^k bytes."""
+    letters = np.conj(np.stack([LocalBasis(kind).vectors() for kind in "XYZ"]).reshape(6, 2))
+    bras = np.ones((1, 1), dtype=complex)
+    for _ in range(k):
+        bras = (bras[:, None, :, None] * letters[None, :, None, :]).reshape(6 * len(bras), -1)
+    bras.flags.writeable = False
+    return bras
 
 
 def _run(pattern: MeasurementPattern, resource, branch, seed=None):
@@ -211,9 +226,9 @@ def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch
 def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -> bool:
     """Check that applying the stored correction then measuring in Pauli
     bases is equivalent to measuring the uncorrected branch state in the
-    correction-conjugated (reassigned) bases, for every branch. One stack
-    holds the bras of all 3^k Pauli bases and 2^k outcomes on the k output
-    qubits, and <m|P psi> = <P^dagger m|psi>."""
+    correction-conjugated (reassigned) bases, for every branch. One cached
+    stack holds the bras of all 3^k Pauli bases and 2^k outcomes on the k
+    output qubits, and <m|P psi> = <P^dagger m|psi>."""
     n_out, m = len(pattern.output_qubits), len(pattern.steps)
     if pattern.target is not None:
         reference = pattern.target.amplitudes
@@ -224,8 +239,7 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
         raise ValueError("a branch of the pattern has probability ~0")
     words = [pattern.corrections["".join(b)] for b in itertools.product("01", repeat=m)]
     corrected = _pauli_dense(tuple(words), n_out) @ states[:, :, None]
-    letters = np.stack([LocalBasis(kind).vectors() for kind in "XYZ"]).reshape(6, 1, 2)
-    bras = _kron_rows(letters.conj(), list(itertools.product(range(6), repeat=n_out)))[:, 0]
+    bras = _pauli_bras(n_out)
     p_ref = np.abs(bras @ reference) ** 2
     p_rot = np.abs(bras @ corrected[:, :, 0].T) ** 2
     return bool(np.all(np.abs(p_rot - p_ref[:, None]) <= 1e-9))

@@ -25,6 +25,10 @@ class NoiseSpec:
             raise ValueError("noise parameter must lie in [0, 1]")
         if self.qubits is not None:
             object.__setattr__(self, "qubits", tuple(self.qubits))
+            if self.kind == "white":
+                raise ValueError(f"white noise takes no qubit list, got {self.qubits}")
+            if not self.qubits:
+                raise ValueError("an empty dephasing qubit list dephases nothing")
             if len(set(self.qubits)) != len(self.qubits):
                 raise ValueError(f"dephasing qubit labels must be distinct, got {self.qubits}")
 
@@ -37,7 +41,10 @@ class NoiseSpec:
         if parts[0] == "dephase" and len(parts) in (2, 3):
             qubits = None
             if len(parts) == 3:
-                qubits = tuple(int(q) for q in parts[2].split(","))
+                labels = parts[2].split(",")
+                if not all(q.strip() for q in labels):
+                    raise ValueError(f"qubit list {parts[2]!r} has an empty label")
+                qubits = tuple(int(q) for q in labels)
             return cls("dephase", float(parts[1]), qubits)
         raise ValueError(f"cannot parse noise spec {text!r}")
 

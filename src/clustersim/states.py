@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,10 +57,6 @@ class PureState:
             raise ValueError("zero vector cannot be normalized")
         return cls(n, amps / norm)
 
-    def amplitude(self, label: str) -> complex:
-        """Amplitude of a computational basis label like 'HHVV' or '0011'."""
-        return self.amplitudes[basis_index(label)]
-
     def to_density(self) -> "DensityMatrix":
         return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
@@ -75,12 +71,6 @@ class PureState:
                 "im": self.amplitudes.imag.tolist(),
             }
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PureState":
-        obj = json.loads(text)
-        amps = np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float)
-        return cls(obj["n"], amps)
 
 
 @dataclass(frozen=True)

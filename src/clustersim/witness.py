@@ -8,12 +8,11 @@ cluster projector, so their expectations never exceed the fidelity.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PauliString, PureState, pauli_expectation
+from .states import PauliString, PureState, pauli_expectation
 
 
 @dataclass(frozen=True)
@@ -41,20 +40,6 @@ class ObservableSum:
         for term in self.terms:
             op += term.dense()
         return op
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "terms": [{"word": t.word, "coeff": t.coefficient} for t in self.terms],
-                "offset": self.identity_offset,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ObservableSum":
-        obj = json.loads(text)
-        terms = tuple(PauliString(t["word"], t["coeff"]) for t in obj["terms"])
-        return cls(terms, obj["offset"])
 
 
 @dataclass(frozen=True)

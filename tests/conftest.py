@@ -1,10 +1,12 @@
+import json
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from clustersim.classical_bound import MAX_TARGETS
-from clustersim.states import DensityMatrix, PureState, measure
+from clustersim.states import DensityMatrix, PauliString, PureState, basis_index, measure
+from clustersim.witness import ObservableSum
 
 
 def random_pure_state(n_qubits: int, rng) -> PureState:
@@ -46,6 +48,27 @@ def dense_pauli(word: str) -> np.ndarray:
     for c in word:
         op = np.kron(op, mats[c])
     return op
+
+
+def amplitude(state: PureState, label: str) -> complex:
+    """Amplitude of a computational basis label like 'HHVV' or '0011'."""
+    return state.amplitudes[basis_index(label)]
+
+
+def pure_state_from_json(text: str) -> PureState:
+    """The inverse of `PureState.to_json`."""
+    obj = json.loads(text)
+    return PureState(obj["n"], np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float))
+
+
+def observable_to_json(b: ObservableSum) -> str:
+    terms = [{"word": t.word, "coeff": t.coefficient} for t in b.terms]
+    return json.dumps({"terms": terms, "offset": b.identity_offset})
+
+
+def observable_from_json(text: str) -> ObservableSum:
+    obj = json.loads(text)
+    return ObservableSum(tuple(PauliString(t["word"], t["coeff"]) for t in obj["terms"]), obj["offset"])
 
 
 @pytest.fixture

@@ -214,6 +214,19 @@ class TestDeterminismAndErrors:
         assert proc.stderr.startswith("usage error: --noise") and "distinct" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_empty_dephasing_label_is_usage_error(self, capsys):
+        assert run(["witness", "--noise", "dephase:0.1:1,,2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: --noise 'dephase:0.1:1,,2': qubit list '1,,2' has an empty label")
+
+    def test_empty_dephasing_label_process_exit(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "clustersim.cli", "witness", "--noise", "dephase:0.1:1,,2"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: --noise") and "empty label" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_identical_argv_identical_output(self, capsys):
         run(["sample", "--shots", "1000", "--seed", "11"])
         first = capsys.readouterr().out

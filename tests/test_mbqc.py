@@ -18,6 +18,7 @@ from clustersim.mbqc import (
     target_two_qubit,
     two_qubit_pattern,
 )
+from clustersim.mbqc import _branch_table, _branches
 from clustersim.noise import NoiseSpec, apply_noise
 from clustersim.states import LocalBasis, PureState, cluster4, fidelity, named_state
 from conftest import ket, random_pure_state, sequential_branch, sequential_sample
@@ -152,6 +153,77 @@ class TestBranchEngine:
             execute_density(pattern, product.to_density(), "1")
         with pytest.raises(ValueError):
             execute(pattern, product, branch="2")
+
+
+def _misses_and_hits():
+    info = _branch_table.cache_info()
+    return info.misses, info.hits
+
+
+class TestBranchCache:
+    """`_branches` is memoised by content: one contraction per (pattern,
+    resource), shared by derivation, execution and the reassignment check."""
+
+    def test_branch_table_costs_one_pure_and_one_mixed_contraction(self):
+        pattern = single_rotation_pattern(GateInstruction(PI / 2, -PI / 2))
+        resource, m = cluster4(), len(pattern.steps)
+        rho = apply_noise(resource, NoiseSpec("dephase", 0.05, (1, 2)))
+        branches = [format(i, f"0{m}b") for i in range(2**m)]
+        _branch_table.cache_clear()
+        for branch in branches:
+            execute(pattern, resource, branch=branch)
+        assert _misses_and_hits() == (1, 2**m - 1)
+        for branch in branches:
+            execute_density(pattern, rho, branch)
+        assert _misses_and_hits() == (1 + 1, 2 * 2**m - 2)
+
+    def test_content_equal_resources_share_an_entry(self):
+        _branch_table.cache_clear()
+        pattern = two_qubit_pattern(GateInstruction(0, PI / 2))  # derives on a fresh cluster4()
+        execute(pattern, cluster4(), branch="01")
+        execute(pattern, cluster4(), seed=3)
+        assert basis_reassignment_check(pattern, cluster4())
+        assert _misses_and_hits() == (1, 3)
+        execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.86)), "00")
+        execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.86)), "11")
+        assert _misses_and_hits() == (2, 4)
+        execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.85)), "00")
+        execute_density(pattern, apply_noise(cluster4(), NoiseSpec("dephase", 0.14, (1,))), "00")
+        assert _misses_and_hits() == (4, 4)
+
+    def test_cached_arrays_are_read_only_and_recompute_bit_for_bit(self):
+        pattern = single_rotation_pattern(GateInstruction(PI / 2, 0))
+        rho = apply_noise(cluster4(), NoiseSpec("white", 0.7))
+        for tensor in (cluster4().amplitudes, rho.entries):
+            _branch_table.cache_clear()
+            states, probs, conds = _branches(pattern.steps, 4, tensor)
+            assert _branches(pattern.steps, 4, tensor)[0] is states
+            for a in (states, probs, *conds):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0.0
+            _branch_table.cache_clear()
+            fresh = _branches(pattern.steps, 4, tensor)
+            assert fresh[0] is not states
+            for a, b in zip((states, probs, *conds), (fresh[0], fresh[1], *fresh[2])):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert len(conds) == len(fresh[2]) == len(pattern.steps)
+
+    def test_per_call_checks_hold_on_a_hit(self):
+        product = PureState.from_amplitudes(ket(H, H, H, H))
+        pattern = MeasurementPattern(4, [(1, LocalBasis.z())], (2, 3, 4), {"0": "III", "1": "III"})
+        rho = product.to_density()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="probability ~0"):
+                execute(pattern, product, branch="1")
+            with pytest.raises(ValueError, match="probability ~0"):
+                execute_density(pattern, rho, "1")
+            with pytest.raises(ValueError, match="0 or 1"):
+                execute(pattern, product, branch="2")
+            with pytest.raises(ValueError, match="resource size"):
+                execute(pattern, named_state("plus"), branch="0")
+            with pytest.raises(TypeError):
+                execute_density(pattern, rho, None)
 
 
 class TestTwoQubitPattern:

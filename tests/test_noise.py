@@ -32,6 +32,20 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match="distinct"):
             NoiseSpec("dephase", 0.1, [2, 3, 2])
 
+    def test_white_noise_takes_no_qubits(self):
+        with pytest.raises(ValueError, match="white noise takes no qubit list"):
+            NoiseSpec("white", 0.9, (7,))
+
+    def test_empty_dephasing_list_rejected(self):
+        with pytest.raises(ValueError, match="empty dephasing qubit list dephases nothing"):
+            NoiseSpec("dephase", 0.1, ())
+        assert NoiseSpec("dephase", 0.1).qubits is None  # every qubit
+
+    @pytest.mark.parametrize("text,labels", [("dephase:0.1:1,,2", "'1,,2'"), ("dephase:0.1:", "''")])
+    def test_empty_qubit_label_named(self, text, labels):
+        with pytest.raises(ValueError, match=f"qubit list {labels} has an empty label"):
+            NoiseSpec.parse(text)
+
 
 class TestWhiteNoise:
     def test_no_noise(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, PauliString, cluster4, fidelity, pauli_expectation
+from clustersim.states import DensityMatrix, PauliString, cluster4, fidelity
 from clustersim.witness import (
     ObservableSum,
     TomographicSetting,
@@ -12,7 +12,7 @@ from clustersim.witness import (
     verify_dominance,
     witness_expectation,
 )
-from conftest import random_density_matrix
+from conftest import observable_from_json, observable_to_json, random_density_matrix
 
 
 def cluster_projector_observable() -> ObservableSum:
@@ -152,12 +152,12 @@ class TestTomographicSetting:
 class TestSerialization:
     def test_round_trip(self):
         b2 = build_b2()
-        again = ObservableSum.from_json(b2.to_json())
+        again = observable_from_json(observable_to_json(b2))
         assert again == b2
 
     def test_json_shape(self):
         import json
 
-        obj = json.loads(build_b2().to_json())
+        obj = json.loads(observable_to_json(build_b2()))
         assert obj["offset"] == -0.5
         assert {"word", "coeff"} == set(obj["terms"][0])
