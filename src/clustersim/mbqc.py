@@ -1,13 +1,16 @@
 """One-way quantum-computing patterns on the four-qubit cluster resource.
 
-A pattern is an ordered list of single-qubit measurements plus a table of
-outcome-conditioned Pauli corrections on the output qubits. One batched
+A pattern is an ordered list of single-qubit measurements plus a read-only
+table of outcome-conditioned Pauli corrections on the output qubits, whose
+matrices it stacks once. It depends only on its angles, so both builders are
+memoised per instruction (32 each, about 3.5 KiB a pattern). One batched
 contraction of the resource (`_branches`) gives every outcome branch at once
 to feedforward derivation, pure and noisy execution and the reassignment
 check. It is memoised by content, so a pattern's branches are contracted once
 per resource (8 kept, at worst about 256·4^n bytes: 64 KiB at n = 4). Each
 branch's correction is the first Pauli word, in I < X < Y < Z order, that
-maps it onto the circuit-model target state.
+maps it onto the circuit-model target state. Output states are valid by
+construction and skip the public constructors' checks (see `states`).
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -27,6 +31,7 @@ from .states import (
     LocalBasis,
     PureState,
     _pauli_dense,
+    _trusted,
     apply_gate,
     cluster4,
     named_state,
@@ -48,7 +53,7 @@ class MeasurementPattern:
     resource_size: int
     steps: tuple  # ordered (qubit label, LocalBasis) pairs
     output_qubits: tuple
-    corrections: dict  # outcome bitstring -> Pauli word on output qubits
+    corrections: dict  # outcome bitstring -> Pauli word on output qubits; kept read-only
     target: PureState | None = None
 
     def __post_init__(self):
@@ -59,8 +64,16 @@ class MeasurementPattern:
             raise ValueError("measured and output qubits must be disjoint")
         if measured | set(self.output_qubits) != set(range(1, self.resource_size + 1)):
             raise ValueError("steps and outputs must cover the register")
-        if len(self.corrections) != 2 ** len(self.steps):
+        branches = ["".join(b) for b in itertools.product("01", repeat=len(self.steps))]
+        if sorted(self.corrections) != branches:
             raise ValueError("corrections must have one entry per outcome bitstring")
+        k, words = len(self.output_qubits), tuple(self.corrections[b] for b in branches)
+        for b, word in zip(branches, words):
+            if not isinstance(word, str) or len(word) != k or set(word) - set("IXYZ"):
+                raise ValueError(f"branch {b}: correction {word!r} is not a Pauli word on {k} qubits")
+        object.__setattr__(self, "corrections", MappingProxyType(dict(zip(branches, words))))
+        object.__setattr__(self, "_ops", _pauli_dense(words, k))  # per-branch matrices
+        self._ops.flags.writeable = False
 
 
 def _branches(steps, n: int, tensor: np.ndarray):
@@ -135,11 +148,10 @@ def _run(pattern: MeasurementPattern, resource, branch, seed=None):
         outcomes = "".join(str(int(b)) for b in branch)
         if set(outcomes) - set("01"):
             raise ValueError("outcome bits must be 0 or 1")
-    op = _pauli_dense((pattern.corrections[outcomes],), len(pattern.output_qubits))[0]
     index = int("0" + outcomes, 2)
     if probs[index] == 0.0:
         raise ValueError(f"branch {outcomes} has probability ~0")
-    return outcomes, states[index], float(probs[index]), op
+    return outcomes, states[index], float(probs[index]), pattern._ops[index]
 
 
 def derive_feedforward(steps, output_qubits, resource: PureState, target: PureState) -> dict:
@@ -176,19 +188,20 @@ def target_single(instr: GateInstruction) -> PureState:
     return apply_gate(state, RX(instr.beta), [1])
 
 
-def two_qubit_pattern(instr: GateInstruction) -> MeasurementPattern:
-    """Measure qubits 2 and 3 of the cluster in the planar bases at the
-    instruction angles; qubits 1 and 4 carry the two-qubit output."""
-    steps = (
-        (2, LocalBasis.planar_std(instr.alpha)),
-        (3, LocalBasis.planar_std(instr.beta)),
-    )
-    outputs = (1, 4)
-    target = target_two_qubit(instr)
+def _cluster_pattern(steps, outputs, target: PureState) -> MeasurementPattern:
     corrections = derive_feedforward(steps, outputs, cluster4(), target)
     return MeasurementPattern(4, steps, outputs, corrections, target)
 
 
+@functools.lru_cache(maxsize=32)
+def two_qubit_pattern(instr: GateInstruction) -> MeasurementPattern:
+    """Measure qubits 2 and 3 of the cluster in the planar bases at the
+    instruction angles; qubits 1 and 4 carry the two-qubit output."""
+    steps = ((2, LocalBasis.planar_std(instr.alpha)), (3, LocalBasis.planar_std(instr.beta)))
+    return _cluster_pattern(steps, (1, 4), target_two_qubit(instr))
+
+
+@functools.lru_cache(maxsize=32)
 def single_rotation_pattern(instr: GateInstruction) -> MeasurementPattern:
     """Disentangle qubit 4 with an X measurement, then measure qubits 1 and
     2 at the instruction angles; qubit 3 carries the rotated output."""
@@ -197,10 +210,7 @@ def single_rotation_pattern(instr: GateInstruction) -> MeasurementPattern:
         (1, LocalBasis.planar_had(instr.alpha)),
         (2, LocalBasis.planar_std(instr.beta)),
     )
-    outputs = (3,)
-    target = target_single(instr)
-    corrections = derive_feedforward(steps, outputs, cluster4(), target)
-    return MeasurementPattern(4, steps, outputs, corrections, target)
+    return _cluster_pattern(steps, (3,), target_single(instr))
 
 
 def execute(pattern: MeasurementPattern, resource: PureState, branch=None, seed=None):
@@ -211,7 +221,7 @@ def execute(pattern: MeasurementPattern, resource: PureState, branch=None, seed=
     bitstring, branch probability).
     """
     outcomes, state, prob, op = _run(pattern, resource, branch, seed)
-    return PureState(len(pattern.output_qubits), op @ state), outcomes, prob
+    return _trusted(PureState, len(pattern.output_qubits), op @ state), outcomes, prob
 
 
 def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch):
@@ -220,7 +230,7 @@ def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch
     if branch is None:
         raise TypeError("execute_density needs an explicit branch")
     outcomes, rho, prob, op = _run(pattern, resource, branch)
-    return DensityMatrix(len(pattern.output_qubits), op @ rho @ op.conj().T), outcomes, prob
+    return _trusted(DensityMatrix, len(pattern.output_qubits), op @ rho @ op.conj().T), outcomes, prob
 
 
 def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -> bool:
@@ -237,8 +247,7 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     states, probs, _ = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
     if not probs.all():
         raise ValueError("a branch of the pattern has probability ~0")
-    words = [pattern.corrections["".join(b)] for b in itertools.product("01", repeat=m)]
-    corrected = _pauli_dense(tuple(words), n_out) @ states[:, :, None]
+    corrected = pattern._ops @ states[:, :, None]
     bras = _pauli_bras(n_out)
     p_ref = np.abs(bras @ reference) ** 2
     p_rot = np.abs(bras @ corrected[:, :, 0].T) ** 2

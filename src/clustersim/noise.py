@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _pauli_kernel
+from .states import DensityMatrix, PureState, _pauli_kernel, _trusted
 
 
 @dataclass(frozen=True)
@@ -35,18 +35,24 @@ class NoiseSpec:
     @classmethod
     def parse(cls, text: str) -> "NoiseSpec":
         """Parse 'white:0.86' or 'dephase:0.05:1,2'."""
-        parts = text.split(":")
-        if parts[0] == "white" and len(parts) == 2:
-            return cls("white", float(parts[1]))
-        if parts[0] == "dephase" and len(parts) in (2, 3):
-            qubits = None
-            if len(parts) == 3:
-                labels = parts[2].split(",")
-                if not all(q.strip() for q in labels):
-                    raise ValueError(f"qubit list {parts[2]!r} has an empty label")
-                qubits = tuple(int(q) for q in labels)
-            return cls("dephase", float(parts[1]), qubits)
-        raise ValueError(f"cannot parse noise spec {text!r}")
+        kind, *fields = text.split(":")
+        if (kind, len(fields)) not in (("white", 1), ("dephase", 1), ("dephase", 2)):
+            raise ValueError(f"cannot parse noise spec {text!r}")
+        qubits = None
+        if len(fields) == 2:
+            labels = fields[1].split(",")
+            if not all(q.strip() for q in labels):
+                raise ValueError(f"qubit list {fields[1]!r} has an empty label")
+            qubits = tuple(_field(int, q, "qubit label {!r} is not an integer") for q in labels)
+        return cls(kind, _field(float, fields[0], "noise parameter {!r} is not a number"), qubits)
+
+
+def _field(convert, text: str, message: str):
+    """convert(text), or a ValueError with the message naming the field."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(message.format(text)) from None
 
 
 def _dephase_one(rho: np.ndarray, p: float, qubit: int, n: int) -> np.ndarray:
@@ -60,13 +66,12 @@ def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
     n = state.n_qubits
     rho = np.outer(state.amplitudes, state.amplitudes.conj())
     if spec.kind == "white":
-        dim = 2**n
-        rho = spec.p * rho + (1 - spec.p) * np.eye(dim, dtype=complex) / dim
+        rho = spec.p * rho + (1 - spec.p) * np.eye(2**n, dtype=complex) / 2**n
     else:
         qubits = spec.qubits if spec.qubits is not None else tuple(range(1, n + 1))
         for q in qubits:
             if not 1 <= q <= n:
                 raise ValueError(f"qubit label {q} out of range 1..{n}")
             rho = _dephase_one(rho, spec.p, q, n)
-    return DensityMatrix(n, rho)
+    return _trusted(DensityMatrix, n, rho)
 

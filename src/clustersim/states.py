@@ -8,6 +8,11 @@ Conventions used throughout the package:
     index i to i ^ x_mask with phase i^#Y (-1)^parity(i & z_mask).
   * Basis label 0 is |H> (horizontal polarization), 1 is |V>.
   * All state comparisons are fidelity-based; global phase is never fixed.
+
+The public PureState and DensityMatrix constructors (so `from_amplitudes` and
+all user input) check the norm, or Hermiticity, unit trace and eigvalsh
+positivity. States built from valid ones in `apply_gate`, `measure`, `to_density`,
+`noise.apply_noise` and `mbqc.execute[_density]` skip them through `_trusted`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ class PureState:
     def __post_init__(self):
         if self.n_qubits < 0:
             raise ValueError("n_qubits must be nonnegative")
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.array(self.amplitudes, dtype=complex, order="C")
         if amps.shape != (2**self.n_qubits,):
             raise ValueError(
                 f"expected {2**self.n_qubits} amplitudes, got {amps.shape}"
@@ -41,7 +46,6 @@ class PureState:
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.2e}")
-        amps = amps.copy()
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -58,7 +62,7 @@ class PureState:
         return cls(n, amps / norm)
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
+        return _trusted(DensityMatrix, self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def tensor(self, other: "PureState") -> "PureState":
         return PureState(self.n_qubits + other.n_qubits, np.kron(self.amplitudes, other.amplitudes))
@@ -82,7 +86,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         dim = 2**self.n_qubits
-        mat = np.asarray(self.entries, dtype=complex)
+        mat = np.array(self.entries, dtype=complex, order="C")
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > NORM_ATOL:
@@ -91,7 +95,6 @@ class DensityMatrix:
             raise ValueError("trace is not 1")
         if np.linalg.eigvalsh(mat)[0] < -PSD_ATOL:
             raise ValueError("matrix has a significantly negative eigenvalue")
-        mat = mat.copy()
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
@@ -99,6 +102,15 @@ class DensityMatrix:
     def maximally_mixed(cls, n_qubits: int) -> "DensityMatrix":
         dim = 2**n_qubits
         return cls(n_qubits, np.eye(dim, dtype=complex) / dim)
+
+
+def _trusted(cls, n_qubits: int, data: np.ndarray):
+    """`cls(n_qubits, data)` without the checks or a copy, for a fresh complex
+    C-order array valid by construction (module docstring); made read-only."""
+    data.flags.writeable = False
+    state = object.__new__(cls)
+    state.__dict__.update(zip(cls.__dataclass_fields__, (n_qubits, data)))
+    return state
 
 
 @dataclass(frozen=True)
@@ -263,21 +275,14 @@ def cluster4() -> PureState:
 def named_state(name: str) -> PureState:
     """Well-known reference states: ghz4, w4, dicke4, plus, minus, r, l, h, v."""
     s2 = 1 / math.sqrt(2)
-    if name == "ghz4":
+    four = {  # the basis indices of the nonzero amplitudes, and their value
+        "ghz4": ((0, 15), s2),
+        "w4": ((1, 2, 4, 8), 0.5),
+        "dicke4": ((3, 5, 6, 9, 10, 12), 1 / math.sqrt(6)),
+    }
+    if name in four:
         amps = np.zeros(16, dtype=complex)
-        amps[0] = s2
-        amps[15] = s2
-        return PureState(4, amps)
-    if name == "w4":
-        amps = np.zeros(16, dtype=complex)
-        for i in (1, 2, 4, 8):
-            amps[i] = 0.5
-        return PureState(4, amps)
-    if name == "dicke4":
-        amps = np.zeros(16, dtype=complex)
-        for i in range(16):
-            if bin(i).count("1") == 2:
-                amps[i] = 1 / math.sqrt(6)
+        amps[list(four[name][0])] = four[name][1]
         return PureState(4, amps)
     single = {
         "h": [1.0, 0.0],
@@ -295,14 +300,6 @@ def named_state(name: str) -> PureState:
 # --- operations ---------------------------------------------------------
 
 
-def _apply_single_qubit(amps: np.ndarray, mat: np.ndarray, qubit: int, n: int) -> np.ndarray:
-    tensor = amps.reshape((2,) * n)
-    axis = qubit - 1
-    tensor = np.tensordot(mat, tensor, axes=([1], [axis]))
-    tensor = np.moveaxis(tensor, 0, axis)
-    return tensor.reshape(-1)
-
-
 def apply_gate(state: PureState, gate, qubits) -> PureState:
     """Apply RZ/RX/CZ or a Pauli word to the given qubit labels (1-based)."""
     n = state.n_qubits
@@ -316,7 +313,8 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
     if isinstance(gate, (RZ, RX)):
         if len(qubits) != 1:
             raise ValueError("rotation gates act on exactly one qubit")
-        amps = _apply_single_qubit(amps, gate.matrix(), qubits[0], n)
+        tensor = np.tensordot(gate.matrix(), amps.reshape((2,) * n), axes=([1], [qubits[0] - 1]))
+        amps = np.moveaxis(tensor, 0, qubits[0] - 1).reshape(-1)
     elif gate is CZ or isinstance(gate, CZ):
         if len(qubits) != 2:
             raise ValueError("CZ takes exactly two qubit labels")
@@ -330,21 +328,19 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
         amps = (phase * amps)[flip]
     else:
         raise ValueError(f"unknown gate {gate!r}")
-    return PureState(n, amps)
+    return _trusted(PureState, n, amps)
 
 
 def fidelity(a, target: PureState) -> float:
     """<target| a |target>; for a pure state, the squared overlap magnitude."""
+    if not isinstance(a, (PureState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(a)}")
+    if a.n_qubits != target.n_qubits:
+        raise ValueError("qubit counts do not match")
     if isinstance(a, PureState):
-        if a.n_qubits != target.n_qubits:
-            raise ValueError("qubit counts do not match")
         return float(abs(np.vdot(target.amplitudes, a.amplitudes)) ** 2)
-    if isinstance(a, DensityMatrix):
-        if a.n_qubits != target.n_qubits:
-            raise ValueError("qubit counts do not match")
-        t = target.amplitudes
-        return float(np.real(np.vdot(t, a.entries @ t)))
-    raise TypeError(f"unsupported state type {type(a)}")
+    t = target.amplitudes
+    return float(np.real(np.vdot(t, a.entries @ t)))
 
 
 def pauli_expectation(state, p) -> float:
@@ -389,7 +385,7 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
     p = probs[outcome]
     if p < 1e-12:
         raise ValueError(f"selected outcome {outcome} has probability {p:.2e}")
-    collapsed = PureState(n - 1, branch[outcome] / math.sqrt(p))
+    collapsed = _trusted(PureState, n - 1, branch[outcome] / math.sqrt(p))
     return p, outcome, collapsed
 
 

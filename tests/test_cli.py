@@ -219,6 +219,20 @@ class TestDeterminismAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: --noise 'dephase:0.1:1,,2': qubit list '1,,2' has an empty label")
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("dephase:0.1:1.5", "qubit label '1.5' is not an integer"),
+            ("white:abc", "noise parameter 'abc' is not a number"),
+        ],
+    )
+    def test_unparsable_noise_field_process_exit(self, spec, message):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "clustersim.cli", "witness", "--noise", spec]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == f"usage error: --noise {spec!r}: {message}\n"
+
     def test_empty_dephasing_label_process_exit(self):
         env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
         argv = [sys.executable, "-m", "clustersim.cli", "witness", "--noise", "dephase:0.1:1,,2"]

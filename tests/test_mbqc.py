@@ -20,7 +20,18 @@ from clustersim.mbqc import (
 )
 from clustersim.mbqc import _branch_table, _branches
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import LocalBasis, PureState, cluster4, fidelity, named_state
+from clustersim.states import (
+    RX,
+    RZ,
+    LocalBasis,
+    PauliString,
+    PureState,
+    apply_gate,
+    cluster4,
+    fidelity,
+    measure,
+    named_state,
+)
 from conftest import ket, random_pure_state, sequential_branch, sequential_sample
 
 S2 = 1 / math.sqrt(2)
@@ -178,6 +189,7 @@ class TestBranchCache:
         assert _misses_and_hits() == (1 + 1, 2 * 2**m - 2)
 
     def test_content_equal_resources_share_an_entry(self):
+        two_qubit_pattern.cache_clear()  # so that the next call derives, whatever ran before
         _branch_table.cache_clear()
         pattern = two_qubit_pattern(GateInstruction(0, PI / 2))  # derives on a fresh cluster4()
         execute(pattern, cluster4(), branch="01")
@@ -224,6 +236,109 @@ class TestBranchCache:
                 execute(pattern, named_state("plus"), branch="0")
             with pytest.raises(TypeError):
                 execute_density(pattern, rho, None)
+
+
+class TestPatternMemo:
+    """Patterns are memoised per instruction and safe to share."""
+
+    @pytest.mark.parametrize("build", [two_qubit_pattern, single_rotation_pattern])
+    def test_repeated_call_returns_the_same_pattern(self, build):
+        build.cache_clear()
+        first = build(GateInstruction(PI / 2, -PI / 2))
+        assert build(GateInstruction(PI / 2, -PI / 2)) is first
+        assert build.cache_info().misses == 1 and build.cache_info().hits == 1
+
+    def test_corrections_are_read_only(self):
+        pattern = two_qubit_pattern(GateInstruction(0, PI))
+        with pytest.raises(TypeError):
+            pattern.corrections["00"] = "XX"
+        with pytest.raises(TypeError):
+            del pattern.corrections["00"]
+        with pytest.raises(ValueError):
+            pattern._ops[0, 0, 0] = 0.0
+        assert not pattern.target.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize("build", [two_qubit_pattern, single_rotation_pattern])
+    def test_cache_clear_derives_again_bit_for_bit(self, build):
+        instr = GateInstruction(PI, PI / 2)
+        cached = build(instr)
+        build.cache_clear()
+        fresh = build(instr)
+        assert fresh is not cached
+        assert fresh.steps == cached.steps and fresh.output_qubits == cached.output_qubits
+        assert list(fresh.corrections.items()) == list(cached.corrections.items())
+        assert fresh.target.amplitudes.tobytes() == cached.target.amplitudes.tobytes()
+        assert fresh._ops.tobytes() == cached._ops.tobytes()
+
+    def test_correction_matrices_follow_the_words(self):
+        patterns = [two_qubit_pattern(i) for i in TWO_QUBIT_INSTRUCTIONS]
+        for pattern in patterns + [single_rotation_pattern(i) for i in SINGLE_QUBIT_INSTRUCTIONS]:
+            for i, (branch, word) in enumerate(pattern.corrections.items()):
+                assert branch == format(i, f"0{len(pattern.steps)}b")
+                assert np.array_equal(pattern._ops[i], PauliString(word).dense())
+
+
+class TestCorrectionWords:
+    """Every correction word is checked against the output register."""
+
+    @pytest.mark.parametrize("word", ["IZZ", "", "Q", "i", 1])
+    def test_bad_single_rotation_word_rejected(self, word):
+        pattern = single_rotation_pattern(GateInstruction(PI / 2, PI / 2))
+        corrections = {**pattern.corrections, "101": word}
+        message = f"branch 101: correction {word!r} is not a Pauli word on 1 qubits"
+        with pytest.raises(ValueError, match=message):
+            MeasurementPattern(4, pattern.steps, pattern.output_qubits, corrections, pattern.target)
+
+    @pytest.mark.parametrize("word", ["X", "XXX", "XA"])
+    def test_bad_two_qubit_word_rejected(self, word):
+        pattern = two_qubit_pattern(GateInstruction(0, 0))
+        corrections = {**pattern.corrections, "10": word}
+        with pytest.raises(ValueError, match="branch 10"):
+            MeasurementPattern(4, pattern.steps, pattern.output_qubits, corrections)
+
+    def test_unknown_branch_rejected(self):
+        pattern = two_qubit_pattern(GateInstruction(0, 0))
+        corrections = {**pattern.corrections, "12": "II"}
+        del corrections["11"]
+        with pytest.raises(ValueError, match="one entry per outcome bitstring"):
+            MeasurementPattern(4, pattern.steps, pattern.output_qubits, corrections)
+
+
+def _data(state):
+    return state.amplitudes if isinstance(state, PureState) else state.entries
+
+
+class TestTrustedOutputs:
+    """States built on internal paths skip the public checks; each must
+    still pass them, hold a read-only array and compare equal when wrapped
+    again."""
+
+    def test_outputs_pass_the_public_checks(self, rng):
+        for _ in range(40):
+            resource = random_pure_state(4, rng)
+            pattern = _random_pattern(rng)
+            spec = NoiseSpec("white", float(rng.uniform(0, 1)))
+            if rng.random() < 0.5:
+                k = int(rng.integers(1, 5))
+                qubits = tuple(int(q) + 1 for q in rng.choice(4, size=k, replace=False))
+                spec = NoiseSpec("dephase", float(rng.uniform(0, 1)), qubits)
+            rho = apply_noise(resource, spec)
+            outputs = [rho, resource.to_density()]
+            for bits in itertools.product("01", repeat=len(pattern.steps)):
+                outputs.append(execute(pattern, resource, branch="".join(bits))[0])
+                outputs.append(execute_density(pattern, rho, "".join(bits))[0])
+            outputs.append(execute(pattern, resource, seed=int(rng.integers(100)))[0])
+            qubit, theta = int(rng.integers(1, 5)), float(rng.uniform(-PI, PI))
+            basis = LocalBasis(str(rng.choice(["planar_std", "planar_had"])), theta)
+            outputs.append(measure(resource, qubit, basis, seed=int(rng.integers(100)))[2])
+            outputs.append(apply_gate(resource, RZ(theta), [qubit]))
+            outputs.append(apply_gate(resource, RX(theta), [qubit]))
+            outputs.append(apply_gate(resource, "XYZI", [1, 2, 3, 4]))
+            for state in outputs:
+                data = _data(state)
+                assert not data.flags.writeable and data.flags.c_contiguous and data.dtype == complex
+                again = type(state)(state.n_qubits, data)  # the public constructor's checks
+                assert np.array_equal(_data(again), data)
 
 
 class TestTwoQubitPattern:

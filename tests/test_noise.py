@@ -46,6 +46,23 @@ class TestNoiseSpec:
         with pytest.raises(ValueError, match=f"qubit list {labels} has an empty label"):
             NoiseSpec.parse(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("dephase:0.1:1.5", "qubit label '1.5' is not an integer"),
+            ("dephase:0.1:1,x", "qubit label 'x' is not an integer"),
+            ("white:abc", "noise parameter 'abc' is not a number"),
+            ("dephase:0.1x:1", "noise parameter '0.1x' is not a number"),
+        ],
+    )
+    def test_unparsable_field_named(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseSpec.parse(text)
+
+    def test_parse_dephase_forms(self):
+        assert NoiseSpec.parse("dephase:0.05") == NoiseSpec("dephase", 0.05)  # every qubit
+        assert NoiseSpec.parse("dephase:1: 3") == NoiseSpec("dephase", 1.0, (3,))
+
 
 class TestWhiteNoise:
     def test_no_noise(self):
