@@ -207,11 +207,11 @@ def _cmd_sample(args) -> str:
     )
     records = []
     for i, bases in enumerate(settings):
-        try:
+        try:  # a malformed setting, or one whose length is not the resource's 4 qubits
             setting = counts_mod.TomographicSetting(bases)
+            records.append(counts_mod.sample_counts(state, setting, args.shots, args.seed + i))
         except ValueError as exc:
             raise UsageError(str(exc))
-        records.append(counts_mod.sample_counts(state, setting, args.shots, args.seed + i))
     return counts_mod.serialize_counts(records)
 
 

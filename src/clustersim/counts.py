@@ -16,17 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _pauli_kernel
+from .states import DensityMatrix, PureState, _pauli_kernel, _setting_bras
 from .witness import ObservableSum, TomographicSetting, required_settings
-
-# Rows are the bras of outcome 0 and outcome 1 for each setting letter.
-_SQ2 = 1 / math.sqrt(2)
-_BASIS_ROWS = {
-    "Z": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
-    "X": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    # bras of |R> = (|H> + i|V>)/sqrt2 and |L> = (|H> - i|V>)/sqrt2
-    "Y": np.array([[_SQ2, -1j * _SQ2], [_SQ2, 1j * _SQ2]], dtype=complex),
-}
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
 
@@ -76,18 +67,17 @@ def outcome_index(setting: TomographicSetting, label: str) -> int:
 
 def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
     """Exact outcome probabilities for measuring every qubit in its setting
-    basis."""
-    u = np.array([[1.0]], dtype=complex)
-    for b in setting.bases:
-        u = np.kron(u, _BASIS_ROWS[b])
+    basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector)."""
+    if not isinstance(state, (PureState, DensityMatrix)):
+        raise TypeError(f"unsupported state type {type(state)}")
+    n = state.n_qubits
+    if len(setting.bases) != n:
+        raise ValueError(f"setting {setting.bases!r} does not match a register of {n} qubits")
+    u = _setting_bras(setting.bases)
     if isinstance(state, PureState):
         probs = np.abs(u @ state.amplitudes) ** 2
-    elif isinstance(state, DensityMatrix):
-        probs = np.real(np.einsum("ij,jk,ik->i", u, state.entries, u.conj()))
     else:
-        raise TypeError(f"unsupported state type {type(state)}")
-    if probs.size != 2 ** len(setting.bases):
-        raise ValueError("setting length does not match state")
+        probs = np.real(np.einsum("ij,jk,ik->i", u, state.entries, u.conj()))
     probs = np.clip(probs, 0.0, None)
     return probs / probs.sum()
 

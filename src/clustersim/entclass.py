@@ -15,11 +15,10 @@ PAIR_PARTITIONS = {"12": (1, 2), "13": (1, 3), "14": (1, 4)}
 
 RANK_TOL = 1e-7
 
-# Fidelity-to-cluster thresholds: exceeding 1/2 rules out biseparable
-# states and every state of Schmidt rank <= 2 in cut 13 or 14 (GHZ and W
-# types); exceeding 3/4 additionally rules out rank <= 3 (Dicke type).
+# Fidelity to the cluster above which biseparable states and every state of
+# Schmidt rank <= 2 in cut 13 or 14 (GHZ and W types) are ruled out.
 GENUINE_THRESHOLD = 0.5
-RANK2_THRESHOLD = 0.5
+# Above this, states of Schmidt rank <= 3 (Dicke type) are ruled out as well.
 RANK3_THRESHOLD = 0.75
 
 

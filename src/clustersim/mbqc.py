@@ -31,6 +31,7 @@ from .states import (
     LocalBasis,
     PureState,
     _pauli_dense,
+    _setting_bras,
     _trusted,
     apply_gate,
     cluster4,
@@ -121,12 +122,9 @@ def _branch_table(steps: tuple, n: int, shape: tuple, data: bytes):
 
 @functools.lru_cache(maxsize=4)
 def _pauli_bras(k: int) -> np.ndarray:
-    """Read-only bras (6^k, 2^k) of all 3^k Pauli bases and 2^k outcomes on k
-    qubits, the first qubit's (X0, X1, Y0 .. Z1) slowest; 16·12^k bytes."""
-    letters = np.conj(np.stack([LocalBasis(kind).vectors() for kind in "XYZ"]).reshape(6, 2))
-    bras = np.ones((1, 1), dtype=complex)
-    for _ in range(k):
-        bras = (bras[:, None, :, None] * letters[None, :, None, :]).reshape(6 * len(bras), -1)
+    """Read-only bras (6^k, 2^k) of all 3^k Pauli settings on k qubits, each
+    setting's 2^k outcomes in a block; 16·12^k bytes."""
+    bras = np.concatenate([_setting_bras("".join(s)) for s in itertools.product("XYZ", repeat=k)])
     bras.flags.writeable = False
     return bras
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _pauli_kernel, _trusted
+from .states import DensityMatrix, PureState, _check_qubits, _pauli_kernel, _trusted
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
         rho = spec.p * rho + (1 - spec.p) * np.eye(2**n, dtype=complex) / 2**n
     else:
         qubits = spec.qubits if spec.qubits is not None else tuple(range(1, n + 1))
+        _check_qubits(qubits, n)
         for q in qubits:
-            if not 1 <= q <= n:
-                raise ValueError(f"qubit label {q} out of range 1..{n}")
             rho = _dephase_one(rho, spec.p, q, n)
     return _trusted(DensityMatrix, n, rho)
 

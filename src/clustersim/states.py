@@ -7,6 +7,8 @@ Conventions used throughout the package:
     x_mask (z_mask) set where qubit q carries X or Y (Z or Y): it maps basis
     index i to i ^ x_mask with phase i^#Y (-1)^parity(i & z_mask).
   * Basis label 0 is |H> (horizontal polarization), 1 is |V>.
+  * Measuring in X, Y or Z, outcome bit 0 is the +1 eigenvector (|H>, |+>,
+    |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
   * All state comparisons are fidelity-based; global phase is never fixed.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
@@ -134,7 +136,10 @@ class LocalBasis:
 
     planar_std(t) is {(|0> + e^{-it}|1>)/sqrt2, (|0> - e^{-it}|1>)/sqrt2};
     planar_had(t) is the same with |0>,|1> replaced by |+>,|->.
-    Outcome bit 0 corresponds to the first vector.
+    Outcome bit 0 corresponds to the first vector. X, Y and Z are exact, with
+    the +1 eigenvector first: X = planar_std(0), Y = planar_std(-pi/2) (while
+    planar_std(pi/2) is Y with its outcomes swapped), Z = planar_had(0).
+    The only place single-qubit basis vectors are written down.
     """
 
     kind: str
@@ -168,19 +173,25 @@ class LocalBasis:
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The ordered pair of basis vectors (outcome 0, outcome 1)."""
-        if self.kind == "Z":
-            return np.array([1.0, 0.0], dtype=complex), np.array([0.0, 1.0], dtype=complex)
-        theta = {"X": 0.0, "Y": math.pi / 2}.get(self.kind, self.theta)
-        phase = np.exp(-1j * theta)
-        if self.kind == "planar_had":
-            plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-            minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-            v0 = (plus + phase * minus) / math.sqrt(2)
-            v1 = (plus - phase * minus) / math.sqrt(2)
-        else:
-            v0 = np.array([1.0, phase], dtype=complex) / math.sqrt(2)
-            v1 = np.array([1.0, -phase], dtype=complex) / math.sqrt(2)
-        return v0, v1
+        s = 1 / math.sqrt(2)
+        pauli = {"Z": ((1, 0), (0, 1)), "X": ((s, s), (s, -s)), "Y": ((s, 1j * s), (s, -1j * s))}
+        if self.kind in pauli:
+            return tuple(np.array(v, dtype=complex) for v in pauli[self.kind])
+        phase = np.exp(-1j * self.theta)
+        zero, one = LocalBasis("X" if self.kind == "planar_had" else "Z").vectors()
+        return (zero + phase * one) / math.sqrt(2), (zero - phase * one) / math.sqrt(2)
+
+
+def _setting_bras(bases: str) -> np.ndarray:
+    """Bras (2^n, 2^n) of every outcome of a Pauli setting like 'XXZZ', row
+    = outcome index with qubit 1 most significant: the Kronecker product of
+    conj(LocalBasis(b).vectors()) over the letters, as broadcast products
+    (np.kron's values without its overhead). Not cached: 16 MiB at n = 10."""
+    bras = np.ones((1, 1), dtype=complex)
+    for b in bases:
+        rows = np.conj(LocalBasis(b).vectors())
+        bras = (bras[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(bras), -1)
+    return bras
 
 
 # --- gate descriptors ---------------------------------------------------
@@ -284,20 +295,21 @@ def named_state(name: str) -> PureState:
         amps = np.zeros(16, dtype=complex)
         amps[list(four[name][0])] = four[name][1]
         return PureState(4, amps)
-    single = {
-        "h": [1.0, 0.0],
-        "v": [0.0, 1.0],
-        "plus": [s2, s2],
-        "minus": [s2, -s2],
-        "r": [s2, 1j * s2],
-        "l": [s2, -1j * s2],
-    }
+    single = {"h": ("Z", 0), "v": ("Z", 1), "plus": ("X", 0), "minus": ("X", 1), "r": ("Y", 0), "l": ("Y", 1)}
     if name in single:
-        return PureState(1, np.array(single[name], dtype=complex))
+        kind, bit = single[name]
+        return PureState(1, LocalBasis(kind).vectors()[bit])
     raise ValueError(f"unknown state name {name!r}")
 
 
 # --- operations ---------------------------------------------------------
+
+
+def _check_qubits(qubits, n: int) -> None:
+    """Raise on the first qubit label outside 1..n."""
+    for q in qubits:
+        if not 1 <= q <= n:
+            raise ValueError(f"qubit label {q} out of range 1..{n}")
 
 
 def apply_gate(state: PureState, gate, qubits) -> PureState:
@@ -306,9 +318,7 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
     qubits = list(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubit labels must be distinct")
-    for q in qubits:
-        if not 1 <= q <= n:
-            raise ValueError(f"qubit label {q} out of range 1..{n}")
+    _check_qubits(qubits, n)
     amps = np.array(state.amplitudes)
     if isinstance(gate, (RZ, RX)):
         if len(qubits) != 1:
@@ -366,8 +376,7 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
     collapsed state on the remaining qubits, in their original order).
     """
     n = state.n_qubits
-    if not 1 <= qubit <= n:
-        raise ValueError(f"qubit label {qubit} out of range 1..{n}")
+    _check_qubits((qubit,), n)
     v0, v1 = basis.vectors()
     tensor = np.asarray(state.amplitudes).reshape((2,) * n)
     axis = qubit - 1
@@ -395,9 +404,7 @@ def schmidt_coefficients(state: PureState, partition) -> np.ndarray:
     part = sorted(set(partition))
     if not part or len(part) >= n:
         raise ValueError("partition must be a nonempty proper subset")
-    for q in part:
-        if not 1 <= q <= n:
-            raise ValueError(f"qubit label {q} out of range 1..{n}")
+    _check_qubits(part, n)
     rest = [q for q in range(1, n + 1) if q not in part]
     tensor = np.asarray(state.amplitudes).reshape((2,) * n)
     order = [q - 1 for q in part] + [q - 1 for q in rest]

@@ -160,6 +160,19 @@ class TestSampleIngest:
         assert obj["b4"] is None
         assert obj["b2"] is not None
 
+    def test_wrong_length_setting_is_usage_error(self, capsys):
+        assert run(["sample", "--settings", "XXZZ,XXZ"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: setting 'XXZ' does not match a register of 4 qubits\n"
+
+    def test_wrong_length_setting_process_exit(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "clustersim.cli", "sample", "--settings", "XXZ"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: setting 'XXZ'") and "Traceback" not in proc.stderr
+
     def test_missing_file_is_data_error(self, capsys):
         assert run(["ingest", "--counts", "/nonexistent/file.csv"]) == 2
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from clustersim.counts import (
     witness_from_counts,
 )
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, cluster4, named_state
+from clustersim.states import DensityMatrix, LocalBasis, PureState, cluster4, measure, named_state
 from clustersim.witness import (
     TomographicSetting,
     build_b2,
@@ -26,6 +27,7 @@ from clustersim.witness import (
     required_settings,
     witness_expectation,
 )
+from conftest import dense_pauli, random_density_matrix, random_pure_state
 
 
 class TestBornDistribution:
@@ -45,6 +47,38 @@ class TestBornDistribution:
     def test_density_matrix_input(self):
         probs = born_distribution(DensityMatrix.maximally_mixed(4), TomographicSetting("YYZZ"))
         assert np.allclose(probs, 1 / 16)
+
+    @pytest.mark.parametrize("letter", "XYZ")
+    def test_marginal_matches_sequential_measure(self, letter, rng):
+        for _ in range(5):
+            state = random_pure_state(3, rng)
+            for qubit in (1, 2, 3):
+                bases = "".join(letter if q == qubit else "Z" for q in (1, 2, 3))
+                probs = born_distribution(state, TomographicSetting(bases)).reshape(2, 2, 2)
+                marginal = probs.sum(axis=tuple(a for a in range(3) if a != qubit - 1))
+                for bit in (0, 1):
+                    p = measure(state, qubit, LocalBasis(letter), select=bit)[0]
+                    assert p == pytest.approx(marginal[bit], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dense_projector_oracle(self, n, rng):
+        """p(s) = Tr(rho (x)_q (1 + s_q P_q)/2), s_q = +1 for outcome bit 0."""
+        pure = random_pure_state(n, rng)
+        for state in (pure, pure.to_density(), random_density_matrix(n, rng)):
+            rho = state.to_density().entries if isinstance(state, PureState) else state.entries
+            for bases in itertools.product("XYZ", repeat=n):
+                probs = born_distribution(state, TomographicSetting("".join(bases)))
+                for index in range(2**n):
+                    proj = np.array([[1.0]])
+                    for q, b in enumerate(bases):
+                        sign = 1 - 2 * ((index >> (n - 1 - q)) & 1)
+                        proj = np.kron(proj, (np.eye(2) + sign * dense_pauli(b)) / 2)
+                    assert probs[index] == pytest.approx(np.trace(rho @ proj).real, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [cluster4(), cluster4().to_density()])
+    def test_wrong_length_setting_named(self, state):
+        with pytest.raises(ValueError, match="setting 'XXZ' does not match a register of 4 qubits"):
+            born_distribution(state, TomographicSetting("XXZ"))
 
 
 class TestSampling:

@@ -176,6 +176,29 @@ class TestPauliExpectation:
             apply_gate(cluster4(), "Q", [1])
 
 
+class TestLocalBasis:
+    @pytest.mark.parametrize("letter", "XYZ")
+    def test_outcome_zero_is_plus_one_eigenvector(self, letter):
+        v0, v1 = LocalBasis(letter).vectors()
+        pauli = dense_pauli(letter)
+        assert np.allclose(pauli @ v0, v0, atol=1e-15)
+        assert np.allclose(pauli @ v1, -v1, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "kind,planar",
+        [("X", LocalBasis.planar_std(0.0)), ("Y", LocalBasis.planar_std(-math.pi / 2)), ("Z", LocalBasis.planar_had(0.0))],
+    )
+    def test_pauli_kinds_match_planar_bases(self, kind, planar):
+        assert np.allclose(LocalBasis(kind).vectors(), planar.vectors(), atol=1e-15)
+
+    def test_planar_half_pi_is_y_swapped(self):
+        assert np.allclose(LocalBasis.y().vectors()[::-1], LocalBasis.planar_std(math.pi / 2).vectors(), atol=1e-15)
+
+    def test_y_vectors_are_exact(self):
+        v0, v1 = LocalBasis.y().vectors()
+        assert v0.tolist() == [S2, 1j * S2] and v1.tolist() == [S2, -1j * S2]
+
+
 class TestMeasure:
     def test_cluster_x_on_qubit4(self):
         p, outcome, collapsed = measure(cluster4(), 4, LocalBasis.x(), select=0)
