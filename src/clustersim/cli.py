@@ -84,8 +84,8 @@ def _resource_state(noise: str | None):
         raise UsageError(f"--noise {noise!r}: {exc}")
 
 
-def _state_json(state) -> dict:
-    return json.loads(state.to_json())
+def _state_json(state: PureState) -> dict:
+    return {"n": state.n_qubits, "re": state.amplitudes.real.tolist(), "im": state.amplitudes.imag.tolist()}
 
 
 def _bounds_from_counts(path: str) -> dict:
@@ -278,6 +278,8 @@ def run(argv) -> int:
         if args.subcommand == "sample":
             if args.shots < 1:
                 raise UsageError("--shots must be positive")
+            if args.seed < 0:
+                raise UsageError("--seed must be nonnegative")
             output = _cmd_sample(args)
         else:
             handler = {

@@ -1,16 +1,17 @@
 """One-way quantum-computing patterns on the four-qubit cluster resource.
 
 A pattern is an ordered list of single-qubit measurements plus a read-only
-table of outcome-conditioned Pauli corrections on the output qubits, whose
-matrices it stacks once. It depends only on its angles, so both builders are
-memoised per instruction (32 each, about 3.5 KiB a pattern). One batched
-contraction of the resource (`_branches`) gives every outcome branch at once
-to feedforward derivation, pure and noisy execution and the reassignment
-check. It is memoised by content, so a pattern's branches are contracted once
-per resource (8 kept, at worst about 256·4^n bytes: 64 KiB at n = 4). Each
-branch's correction is the first Pauli word, in I < X < Y < Z order, that
-maps it onto the circuit-model target state. Output states are valid by
-construction and skip the public constructors' checks (see `states`).
+table of outcome-conditioned Pauli corrections on the output qubits, held in
+the binary (flip, phase) form of `states._pauli_kernel` and applied as a
+gather. It depends only on its angles, so both builders are memoised per
+instruction (32 each). The measurements run on `states`' one batched
+contraction (`_branches`), which `measure` uses too: it gives every outcome
+branch at once to feedforward derivation, pure and noisy execution and the
+reassignment check. It is memoised by content, so a pattern's branches are
+contracted once per resource (8 kept, at worst about 256·4^n bytes: 64 KiB at
+n = 4). Each branch's correction is the first Pauli word, in I < X < Y < Z
+order, that maps it onto the circuit-model target state. Output states are
+valid by construction and skip the public constructors' checks (see `states`).
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from .states import (
     DensityMatrix,
     LocalBasis,
     PureState,
-    _pauli_dense,
+    _branch,
+    _branches,
+    _pauli_kernel,
     _setting_bras,
     _trusted,
     apply_gate,
@@ -73,51 +76,7 @@ class MeasurementPattern:
             if not isinstance(word, str) or len(word) != k or set(word) - set("IXYZ"):
                 raise ValueError(f"branch {b}: correction {word!r} is not a Pauli word on {k} qubits")
         object.__setattr__(self, "corrections", MappingProxyType(dict(zip(branches, words))))
-        object.__setattr__(self, "_ops", _pauli_dense(words, k))  # per-branch matrices
-        self._ops.flags.writeable = False
-
-
-def _branches(steps, n: int, tensor: np.ndarray):
-    """Every outcome branch of the measurements on amplitudes (2^n,) or a
-    density matrix (2^n, 2^n), memoised by content in `_branch_table`.
-    Returns read-only (states, probs, conds): per branch b (first step most
-    significant), its state on the other qubits in label order and its
-    probability (0 if a step's conditional probability is below 1e-12); per
-    step k, the conditional probability of the last bit of each (k + 1)-bit
-    prefix."""
-    return _branch_table(tuple((q, b) for q, b in steps), n, tensor.shape, tensor.tobytes())
-
-
-# An entry holds the resource's bytes (its key) and its branch states, each at
-# most 16·4^n bytes on n qubits (16·2^n for amplitudes), and O(2^m) floats:
-# 8 entries stay under about 256·4^n bytes, 64 KiB at n = 4, 16 MiB at n = 8.
-@functools.lru_cache(maxsize=8)
-def _branch_table(steps: tuple, n: int, shape: tuple, data: bytes):
-    """The measured axes go first, in step order; step k contracts axis k of
-    every branch so far with conj([v0, v1]) (a density matrix's bra axis with
-    its conjugate) and normalises, as `measure` does."""
-    mixed = len(shape) == 2
-    measured = [q - 1 for q, _ in steps]
-    order = measured + [a for a in range(n) if a not in measured]
-    t = np.frombuffer(data, dtype=complex).reshape((2,) * n * len(shape))
-    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + shape)
-    probs, conds = np.ones(1), []
-    for _, basis in steps:
-        bra, rows, d = np.conj(basis.vectors()), len(t), t.shape[1] // 2
-        t = (bra @ t.reshape(rows, 2, -1)).reshape((2 * rows, d) + t.shape[2:])
-        if mixed:
-            t = np.einsum("absjt,bj->abst", t.reshape(rows, 2, d, 2, d), bra.conj())
-            t = t.reshape(2 * rows, d, d)
-            p = np.trace(t, axis1=1, axis2=2).real
-        else:
-            p = np.linalg.norm(t, axis=1) ** 2
-        norm = np.where(p > 0, p if mixed else np.sqrt(p), 1.0)
-        t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
-        conds.append(p)
-        probs = (probs[:, None] * np.where(p < 1e-12, 0.0, p).reshape(rows, 2)).reshape(-1)
-    for a in (t, probs, *conds):
-        a.flags.writeable = False
-    return t, probs, tuple(conds)
+        object.__setattr__(self, "_ops", _pauli_kernel(words, k))  # read-only per-branch (flip, phase)
 
 
 @functools.lru_cache(maxsize=4)
@@ -130,26 +89,14 @@ def _pauli_bras(k: int) -> np.ndarray:
 
 
 def _run(pattern: MeasurementPattern, resource, branch, seed=None):
-    """One branch of a pure or density resource: (bitstring, normalised
-    uncorrected state, probability, correction matrix). Without `branch`, each
-    bit is drawn in step order from its conditional probability, one
-    `rng.random()` per step, as a sequential measurement draws it."""
+    """One branch of a pure or density resource (`states._branch`), with its
+    correction: (bitstring, normalised uncorrected state, probability, flip,
+    phase)."""
     if resource.n_qubits != pattern.resource_size:
         raise ValueError("resource size does not match pattern")
-    tensor = resource.entries if isinstance(resource, DensityMatrix) else resource.amplitudes
-    states, probs, conds = _branches(pattern.steps, resource.n_qubits, tensor)
-    if branch is None:
-        rng, outcomes = np.random.default_rng(seed), ""
-        for p in conds:
-            outcomes += "01"[int(rng.random() >= p[2 * int("0" + outcomes, 2)])]
-    else:
-        outcomes = "".join(str(int(b)) for b in branch)
-        if set(outcomes) - set("01"):
-            raise ValueError("outcome bits must be 0 or 1")
+    outcomes, state, prob = _branch(pattern.steps, resource, branch, seed)
     index = int("0" + outcomes, 2)
-    if probs[index] == 0.0:
-        raise ValueError(f"branch {outcomes} has probability ~0")
-    return outcomes, states[index], float(probs[index]), pattern._ops[index]
+    return outcomes, state, prob, pattern._ops[0][index], pattern._ops[1][index]
 
 
 def derive_feedforward(steps, output_qubits, resource: PureState, target: PureState) -> dict:
@@ -161,7 +108,8 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     n_out = len(output_qubits)
     states, probs, _ = _branches(steps, resource.n_qubits, resource.amplitudes)
     words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_out)]
-    overlaps = target.amplitudes.conj() @ (_pauli_dense(tuple(words), n_out) @ states.T)
+    flip, phase = _pauli_kernel(tuple(words), n_out)
+    overlaps = (target.amplitudes.conj()[flip] * phase) @ states.T  # <target|P_w, row w
     hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs > 0)
     branches = ["".join(b) for b in itertools.product("01", repeat=len(steps))]
     if not hits.any(axis=0).all():
@@ -218,8 +166,8 @@ def execute(pattern: MeasurementPattern, resource: PureState, branch=None, seed=
     distribution using `seed`. Returns (corrected output state, outcome
     bitstring, branch probability).
     """
-    outcomes, state, prob, op = _run(pattern, resource, branch, seed)
-    return _trusted(PureState, len(pattern.output_qubits), op @ state), outcomes, prob
+    outcomes, psi, prob, flip, phase = _run(pattern, resource, branch, seed)
+    return _trusted(PureState, len(pattern.output_qubits), (phase * psi)[flip]), outcomes, prob
 
 
 def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch):
@@ -227,8 +175,9 @@ def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch
     must be explicit."""
     if branch is None:
         raise TypeError("execute_density needs an explicit branch")
-    outcomes, rho, prob, op = _run(pattern, resource, branch)
-    return _trusted(DensityMatrix, len(pattern.output_qubits), op @ rho @ op.conj().T), outcomes, prob
+    outcomes, rho, prob, flip, phase = _run(pattern, resource, branch)
+    rho = (phase[:, None] * rho * phase.conj())[flip[:, None], flip]  # P rho P^dagger
+    return _trusted(DensityMatrix, len(pattern.output_qubits), rho), outcomes, prob
 
 
 def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -> bool:
@@ -245,10 +194,11 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     states, probs, _ = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
     if not probs.all():
         raise ValueError("a branch of the pattern has probability ~0")
-    corrected = pattern._ops @ states[:, :, None]
+    flip, phase = pattern._ops
+    corrected = (phase * states)[np.arange(len(flip))[:, None], flip]  # row b is P_b psi_b
     bras = _pauli_bras(n_out)
     p_ref = np.abs(bras @ reference) ** 2
-    p_rot = np.abs(bras @ corrected[:, :, 0].T) ** 2
+    p_rot = np.abs(bras @ corrected.T) ** 2
     return bool(np.all(np.abs(p_rot - p_ref[:, None]) <= 1e-9))
 
 

@@ -11,6 +11,11 @@ Conventions used throughout the package:
     |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
   * All state comparisons are fidelity-based; global phase is never fixed.
 
+Local measurements have one contraction, `_branch_table`: it gives every
+outcome branch of a list of single-qubit measurements on a pure or density
+state at once, memoised by content, and `_branch` picks one branch from it.
+`measure` is its one-step call and `mbqc` runs whole patterns on it.
+
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
 positivity. States built from valid ones in `apply_gate`, `measure`, `to_density`,
@@ -20,7 +25,6 @@ positivity. States built from valid ones in `apply_gate`, `measure`, `to_density
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -68,15 +72,6 @@ class PureState:
 
     def tensor(self, other: "PureState") -> "PureState":
         return PureState(self.n_qubits + other.n_qubits, np.kron(self.amplitudes, other.amplitudes))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n_qubits,
-                "re": self.amplitudes.real.tolist(),
-                "im": self.amplitudes.imag.tolist(),
-            }
-        )
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,11 @@ class PauliString:
             raise ValueError(f"invalid Pauli word {self.word!r}")
 
     def dense(self) -> np.ndarray:
-        return self.coefficient * _pauli_dense((self.word,), len(self.word))[0]
+        """The 2^n x 2^n matrix: the kernel's phase scattered to (flip[i], i)."""
+        (flip,), (phase,) = _pauli_kernel((self.word,), len(self.word))
+        op = np.zeros((flip.size, flip.size), dtype=complex)
+        op[flip, np.arange(flip.size)] = phase
+        return self.coefficient * op
 
 
 @dataclass(frozen=True)
@@ -194,6 +193,75 @@ def _setting_bras(bases: str) -> np.ndarray:
     return bras
 
 
+# --- local measurements -------------------------------------------------
+
+
+def _branches(steps, n: int, tensor: np.ndarray):
+    """Every outcome branch of the measurements on amplitudes (2^n,) or a
+    density matrix (2^n, 2^n), memoised by content in `_branch_table`.
+    Returns read-only (states, probs, conds): per branch b (first step most
+    significant), its state on the other qubits in label order and its
+    probability (0 if a step's conditional probability is below 1e-12); per
+    step k, the conditional probability of the last bit of each (k + 1)-bit
+    prefix."""
+    return _branch_table(tuple((q, b) for q, b in steps), n, tensor.shape, tensor.tobytes())
+
+
+# An entry holds the resource's bytes (its key) and its branch states, each at
+# most 16·4^n bytes on n qubits (16·2^n for amplitudes), and O(2^m) floats:
+# 8 entries stay under about 256·4^n bytes, 64 KiB at n = 4, 16 MiB at n = 8.
+@functools.lru_cache(maxsize=8)
+def _branch_table(steps: tuple, n: int, shape: tuple, data: bytes):
+    """The measured axes go first, in step order; step k contracts axis k of
+    every branch so far with conj([v0, v1]) (a density matrix's bra axis with
+    its conjugate) and normalises."""
+    mixed = len(shape) == 2
+    measured = [q - 1 for q, _ in steps]
+    order = measured + [a for a in range(n) if a not in measured]
+    t = np.frombuffer(data, dtype=complex).reshape((2,) * n * len(shape))
+    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + shape)
+    probs, conds = np.ones(1), []
+    for _, basis in steps:
+        bra, rows, d = np.conj(basis.vectors()), len(t), t.shape[1] // 2
+        t = (bra @ t.reshape(rows, 2, -1)).reshape((2 * rows, d) + t.shape[2:])
+        if mixed:
+            t = np.einsum("absjt,bj->abst", t.reshape(rows, 2, d, 2, d), bra.conj())
+            t = t.reshape(2 * rows, d, d)
+            p = np.trace(t, axis1=1, axis2=2).real
+        else:
+            p = np.linalg.norm(t, axis=1) ** 2
+        norm = np.where(p > 0, p if mixed else np.sqrt(p), 1.0)
+        t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
+        conds.append(p)
+        probs = (probs[:, None] * np.where(p < 1e-12, 0.0, p).reshape(rows, 2)).reshape(-1)
+    for a in (t, probs, *conds):
+        a.flags.writeable = False
+    return t, probs, tuple(conds)
+
+
+def _branch(steps, state, bits=None, seed=None):
+    """One branch of the measurements `steps` on a pure or density state:
+    (bitstring, read-only normalised state on the other qubits, probability).
+    Without `bits`, each bit is drawn in step order from its conditional
+    probability, one `rng.random()` per step."""
+    tensor = state.entries if isinstance(state, DensityMatrix) else state.amplitudes
+    states, probs, conds = _branches(steps, state.n_qubits, tensor)
+    if bits is None:
+        rng, bits = np.random.default_rng(seed), ""
+        for p in conds:
+            bits += "01"[int(rng.random() >= p[2 * int("0" + bits, 2)])]
+    else:
+        bits = "".join(str(int(b)) for b in bits)
+        if set(bits) - set("01"):
+            raise ValueError("outcome bits must be 0 or 1")
+        if len(bits) != len(steps):
+            raise ValueError(f"{len(steps)} outcome bits expected, got {bits!r}")
+    index = int("0" + bits, 2)
+    if probs[index] == 0.0:
+        raise ValueError(f"branch {bits} has probability ~0")
+    return bits, states[index], float(probs[index])
+
+
 # --- gate descriptors ---------------------------------------------------
 
 
@@ -221,17 +289,7 @@ class CZ:
     """Controlled-Z: |j>|k> -> (-1)^{jk} |j>|k>."""
 
 
-# --- label helpers ------------------------------------------------------
-
-_BIT_OF = {"H": 0, "V": 1, "0": 0, "1": 1}
-
-
-def basis_index(label: str) -> int:
-    """Index of a basis label ('HHVV' or '0011'), qubit 1 most significant."""
-    idx = 0
-    for c in label:
-        idx = (idx << 1) | _BIT_OF[c]
-    return idx
+# --- Pauli words ---------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=64)
@@ -260,26 +318,14 @@ def _pauli_kernel(words: tuple, n: int, qubits: tuple | None = None):
     return flip, phase
 
 
-def _pauli_dense(words: tuple, n: int) -> np.ndarray:
-    """Dense matrices of equal-length Pauli words, shape (len(words), 2^n,
-    2^n): each word's phase scattered to (flip[i], i)."""
-    flip, phase = _pauli_kernel(words, n)
-    ops = np.zeros(flip.shape + flip.shape[-1:], dtype=complex)
-    ops[np.arange(len(flip))[:, None], flip, np.arange(2**n)] = phase
-    return ops
-
-
 # --- named resource states ---------------------------------------------
 
 
 def cluster4() -> PureState:
     """The four-qubit cluster state with amplitudes +1/2 on HHHH, HHVV, VVHH
-    and -1/2 on VVVV."""
+    and -1/2 on VVVV (basis indices 0, 3, 12 and 15)."""
     amps = np.zeros(16, dtype=complex)
-    amps[basis_index("HHHH")] = 0.5
-    amps[basis_index("HHVV")] = 0.5
-    amps[basis_index("VVHH")] = 0.5
-    amps[basis_index("VVVV")] = -0.5
+    amps[[0, 3, 12, 15]] = 0.5, 0.5, 0.5, -0.5
     return PureState(4, amps)
 
 
@@ -375,27 +421,13 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
     from the Born distribution using `seed`. Returns (probability, outcome,
     collapsed state on the remaining qubits, in their original order).
     """
-    n = state.n_qubits
-    _check_qubits((qubit,), n)
-    v0, v1 = basis.vectors()
-    tensor = np.asarray(state.amplitudes).reshape((2,) * n)
-    axis = qubit - 1
-    branch = [
-        np.tensordot(v.conj(), tensor, axes=([0], [axis])).reshape(-1) for v in (v0, v1)
-    ]
-    probs = [float(np.linalg.norm(b) ** 2) for b in branch]
-    if select is None:
-        rng = np.random.default_rng(seed)
-        outcome = int(rng.random() >= probs[0])
-    else:
-        outcome = int(select)
-        if outcome not in (0, 1):
-            raise ValueError("outcome bit must be 0 or 1")
-    p = probs[outcome]
-    if p < 1e-12:
-        raise ValueError(f"selected outcome {outcome} has probability {p:.2e}")
-    collapsed = _trusted(PureState, n - 1, branch[outcome] / math.sqrt(p))
-    return p, outcome, collapsed
+    if not isinstance(state, PureState):
+        raise TypeError(f"unsupported state type {type(state)}")
+    _check_qubits((qubit,), state.n_qubits)
+    bits = None if select is None else (select,)
+    outcome, amps, p = _branch(((qubit, basis),), state, bits, seed)
+    # a copy, so that the result does not pin a `_branch_table` entry
+    return p, int(outcome), _trusted(PureState, state.n_qubits - 1, np.array(amps))
 
 
 def schmidt_coefficients(state: PureState, partition) -> np.ndarray:

@@ -1,11 +1,12 @@
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from clustersim.classical_bound import MAX_TARGETS
-from clustersim.states import DensityMatrix, PauliString, PureState, basis_index, measure
+from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState
 from clustersim.witness import ObservableSum
 
 
@@ -50,13 +51,28 @@ def dense_pauli(word: str) -> np.ndarray:
     return op
 
 
+_BIT_OF = {"H": 0, "V": 1, "0": 0, "1": 1}
+
+
+def basis_index(label: str) -> int:
+    """Index of a basis label ('HHVV' or '0011'), qubit 1 most significant."""
+    idx = 0
+    for c in label:
+        idx = (idx << 1) | _BIT_OF[c]
+    return idx
+
+
 def amplitude(state: PureState, label: str) -> complex:
     """Amplitude of a computational basis label like 'HHVV' or '0011'."""
     return state.amplitudes[basis_index(label)]
 
 
+def pure_state_to_json(state: PureState) -> str:
+    return json.dumps({"n": state.n_qubits, "re": state.amplitudes.real.tolist(), "im": state.amplitudes.imag.tolist()})
+
+
 def pure_state_from_json(text: str) -> PureState:
-    """The inverse of `PureState.to_json`."""
+    """The inverse of `pure_state_to_json`."""
     obj = json.loads(text)
     return PureState(obj["n"], np.array(obj["re"], dtype=float) + 1j * np.array(obj["im"], dtype=float))
 
@@ -142,34 +158,49 @@ def enumerated_bound(targets: list[PureState], bits: int):
     return best_value, best_partition
 
 
-# --- sequential measurement oracle for the MBQC branch engine ---------------
+# --- sequential measurement oracle for the branch engine ----------------------
+
+
+def tensordot_measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=None):
+    """`states.measure` written independently of the batched branch engine:
+    one `tensordot` per outcome, the outcome drawn with one `rng.random()`.
+    Returns (probability, outcome, collapsed amplitudes on the other qubits)."""
+    n = state.n_qubits
+    tensor = state.amplitudes.reshape((2,) * n)
+    branch = [np.tensordot(v.conj(), tensor, axes=([0], [qubit - 1])).reshape(-1) for v in basis.vectors()]
+    probs = [float(np.linalg.norm(b) ** 2) for b in branch]
+    outcome = int(np.random.default_rng(seed).random() >= probs[0]) if select is None else int(select)
+    p = probs[outcome]
+    if p < 1e-12:
+        raise ValueError(f"selected outcome {outcome} has probability {p:.2e}")
+    return p, outcome, PureState(n - 1, branch[outcome] / math.sqrt(p))
 
 
 def sequential_branch(steps, resource: PureState, branch: str):
-    """Measure the listed qubits in order with fixed outcomes, one `measure`
-    per step; returns the residual state on the unmeasured qubits (ascending
-    labels) and the branch probability."""
+    """Measure the listed qubits in order with fixed outcomes, one
+    `tensordot_measure` per step; returns the residual state on the
+    unmeasured qubits (ascending labels) and the branch probability."""
     labels = list(range(1, resource.n_qubits + 1))
     state, prob = resource, 1.0
     for (qubit, basis), bit in zip(steps, branch):
         pos = labels.index(qubit) + 1
-        p, _, state = measure(state, pos, basis, select=int(bit))
+        p, _, state = tensordot_measure(state, pos, basis, select=int(bit))
         prob *= p
         labels.pop(pos - 1)
     return state, prob
 
 
 def sequential_sample(steps, resource: PureState, seed):
-    """Draw the outcome bits one step at a time, as `measure` would with one
-    `rng.random()` per step; returns the outcome bitstring."""
+    """Draw the outcome bits one step at a time, as `tensordot_measure` would
+    with one `rng.random()` per step; returns the outcome bitstring."""
     rng = np.random.default_rng(seed)
     labels = list(range(1, resource.n_qubits + 1))
     state, bits = resource, ""
     for qubit, basis in steps:
         pos = labels.index(qubit) + 1
-        p0 = measure(state, pos, basis, select=0)[0]
+        p0 = tensordot_measure(state, pos, basis, select=0)[0]
         bit = int(rng.random() >= p0)
-        _, _, state = measure(state, pos, basis, select=bit)
+        _, _, state = tensordot_measure(state, pos, basis, select=bit)
         labels.pop(pos - 1)
         bits += str(bit)
     return bits

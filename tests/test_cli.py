@@ -261,6 +261,20 @@ class TestDeterminismAndErrors:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert run(["sample", "--shots", "10", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --seed must be nonnegative\n"
+
+    def test_negative_seed_process_exit(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "clustersim.cli", "sample", "--seed", "-1"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == "usage error: --seed must be nonnegative\n"
+        assert proc.stdout == "" and "Traceback" not in proc.stderr
+
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
 

@@ -18,7 +18,6 @@ from clustersim.mbqc import (
     target_two_qubit,
     two_qubit_pattern,
 )
-from clustersim.mbqc import _branch_table, _branches
 from clustersim.noise import NoiseSpec, apply_noise
 from clustersim.states import (
     RX,
@@ -32,7 +31,8 @@ from clustersim.states import (
     measure,
     named_state,
 )
-from conftest import ket, random_pure_state, sequential_branch, sequential_sample
+from clustersim.states import _branch_table, _branches, _pauli_kernel
+from conftest import dense_pauli, ket, random_pure_state, sequential_branch, sequential_sample
 
 S2 = 1 / math.sqrt(2)
 H, V = [1, 0], [0, 1]
@@ -120,7 +120,7 @@ def _random_pattern(rng) -> MeasurementPattern:
 
 
 class TestBranchEngine:
-    """The batched branch engine against the sequential `measure` runner."""
+    """The batched branch engine against the sequential `tensordot` runner."""
 
     def test_branches_match_sequential_runner(self, rng):
         for _ in range(40):
@@ -164,6 +164,15 @@ class TestBranchEngine:
             execute_density(pattern, product.to_density(), "1")
         with pytest.raises(ValueError):
             execute(pattern, product, branch="2")
+
+    @pytest.mark.parametrize("branch", ["0", "111", ""])
+    def test_wrong_length_branch_rejected(self, branch):
+        pattern = two_qubit_pattern(GateInstruction(0, 0))
+        message = f"2 outcome bits expected, got '{branch}'"
+        with pytest.raises(ValueError, match=message):
+            execute(pattern, cluster4(), branch=branch)
+        with pytest.raises(ValueError, match=message):
+            execute_density(pattern, cluster4().to_density(), branch)
 
 
 def _misses_and_hits():
@@ -254,8 +263,10 @@ class TestPatternMemo:
             pattern.corrections["00"] = "XX"
         with pytest.raises(TypeError):
             del pattern.corrections["00"]
-        with pytest.raises(ValueError):
-            pattern._ops[0, 0, 0] = 0.0
+        for a in pattern._ops:  # flip and phase
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0
         assert not pattern.target.amplitudes.flags.writeable
 
     @pytest.mark.parametrize("build", [two_qubit_pattern, single_rotation_pattern])
@@ -263,19 +274,53 @@ class TestPatternMemo:
         instr = GateInstruction(PI, PI / 2)
         cached = build(instr)
         build.cache_clear()
+        _pauli_kernel.cache_clear()
         fresh = build(instr)
         assert fresh is not cached
         assert fresh.steps == cached.steps and fresh.output_qubits == cached.output_qubits
         assert list(fresh.corrections.items()) == list(cached.corrections.items())
         assert fresh.target.amplitudes.tobytes() == cached.target.amplitudes.tobytes()
-        assert fresh._ops.tobytes() == cached._ops.tobytes()
+        assert fresh._ops[0] is not cached._ops[0]
+        for a, b in zip(fresh._ops, cached._ops):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_correction_matrices_follow_the_words(self):
-        patterns = [two_qubit_pattern(i) for i in TWO_QUBIT_INSTRUCTIONS]
-        for pattern in patterns + [single_rotation_pattern(i) for i in SINGLE_QUBIT_INSTRUCTIONS]:
+        for pattern in _paper_patterns():
+            flip, phase = pattern._ops
             for i, (branch, word) in enumerate(pattern.corrections.items()):
                 assert branch == format(i, f"0{len(pattern.steps)}b")
-                assert np.array_equal(pattern._ops[i], PauliString(word).dense())
+                dense = np.zeros((flip.shape[1],) * 2, dtype=complex)
+                dense[flip[i], np.arange(flip.shape[1])] = phase[i]  # P|j> = phase[j] |flip[j]>
+                assert np.array_equal(dense, PauliString(word).dense())
+                assert np.array_equal(dense, dense_pauli(word))
+
+
+def _paper_patterns():
+    """The 14 patterns of the two reference tables."""
+    return [two_qubit_pattern(i) for i in TWO_QUBIT_INSTRUCTIONS] + [
+        single_rotation_pattern(i) for i in SINGLE_QUBIT_INSTRUCTIONS
+    ]
+
+
+class TestCorrectionGather:
+    """Corrections applied as an index gather equal the dense products P psi
+    and P rho P^dagger exactly, on every branch of every paper pattern."""
+
+    @pytest.mark.parametrize("noise", [None, "white:0.86", "dephase:0.05:1,2"])
+    def test_gather_equals_dense_product(self, noise):
+        pure = cluster4()
+        rho = pure.to_density() if noise is None else apply_noise(pure, NoiseSpec.parse(noise))
+        for pattern in _paper_patterns():
+            m = len(pattern.steps)
+            psis = _branches(pattern.steps, 4, pure.amplitudes)[0]
+            rhos = _branches(pattern.steps, 4, rho.entries)[0]
+            for i, word in enumerate(pattern.corrections.values()):
+                branch, op = format(i, f"0{m}b"), dense_pauli(word)
+                out = execute_density(pattern, rho, branch)[0].entries
+                assert np.array_equal(out, op @ rhos[i] @ op.conj().T)
+                if noise is None:
+                    out = execute(pattern, pure, branch=branch)[0].amplitudes
+                    assert np.array_equal(out, op @ psis[i])
 
 
 class TestCorrectionWords:

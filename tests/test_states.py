@@ -14,7 +14,6 @@ from clustersim.states import (
     PauliString,
     PureState,
     apply_gate,
-    basis_index,
     cluster4,
     fidelity,
     measure,
@@ -22,7 +21,17 @@ from clustersim.states import (
     pauli_expectation,
     schmidt_coefficients,
 )
-from conftest import amplitude, dense_pauli, ket, pure_state_from_json, random_pure_state
+from conftest import (
+    amplitude,
+    basis_index,
+    dense_pauli,
+    ket,
+    pure_state_from_json,
+    pure_state_to_json,
+    random_density_matrix,
+    random_pure_state,
+    tensordot_measure,
+)
 
 S2 = 1 / math.sqrt(2)
 
@@ -238,6 +247,45 @@ class TestMeasure:
         results = {measure(cluster4(), 4, LocalBasis.x(), seed=42)[1] for _ in range(5)}
         assert len(results) == 1
 
+    def test_matches_tensordot_oracle(self, rng):
+        """The branch engine's one-step call against an independent
+        `tensordot` measurement: every qubit of random states at n = 1..5,
+        planar and Pauli bases, both outcomes and seeded draws."""
+        for n in range(1, 6):
+            for _ in range(4):
+                state = random_pure_state(n, rng)
+                bases = [LocalBasis(k) for k in "XYZ"] + [
+                    LocalBasis(k, rng.uniform(-math.pi, math.pi)) for k in ("planar_std", "planar_had")
+                ]
+                for qubit in range(1, n + 1):
+                    for basis in bases:
+                        calls = [{"select": 0}, {"select": 1}, {"seed": int(rng.integers(2**31))}]
+                        for kwargs in calls:
+                            p, outcome, collapsed = measure(state, qubit, basis, **kwargs)
+                            ref_p, ref_outcome, ref = tensordot_measure(state, qubit, basis, **kwargs)
+                            assert outcome == ref_outcome and abs(p - ref_p) <= 1e-12
+                            assert collapsed.n_qubits == n - 1
+                            assert np.max(np.abs(collapsed.amplitudes - ref.amplitudes)) <= 1e-12
+
+    def test_result_is_a_fresh_read_only_copy(self):
+        _, _, first = measure(cluster4(), 2, LocalBasis.y(), select=1)
+        _, _, again = measure(cluster4(), 2, LocalBasis.y(), select=1)
+        assert first.amplitudes is not again.amplitudes and first.amplitudes.base is None
+        assert not first.amplitudes.flags.writeable
+        assert np.array_equal(first.amplitudes, again.amplitudes)
+
+    def test_density_matrix_rejected(self, rng):
+        with pytest.raises(TypeError, match="unsupported state type"):
+            measure(random_density_matrix(2, rng), 1, LocalBasis.z(), select=0)
+
+    def test_bad_outcome_and_qubit_rejected(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            measure(cluster4(), 1, LocalBasis.z(), select=2)
+        with pytest.raises(ValueError, match="1 outcome bits expected, got '10'"):
+            measure(cluster4(), 1, LocalBasis.z(), select=10)
+        with pytest.raises(ValueError, match="out of range 1..4"):
+            measure(cluster4(), 5, LocalBasis.z(), select=0)
+
 
 class TestSchmidt:
     def test_cluster_partition_13(self):
@@ -295,14 +343,14 @@ class TestNormPreservation:
 class TestSerialization:
     def test_round_trip(self, rng):
         state = random_pure_state(3, rng)
-        again = pure_state_from_json(state.to_json())
+        again = pure_state_from_json(pure_state_to_json(state))
         assert again.n_qubits == 3
         assert np.allclose(again.amplitudes, state.amplitudes)
 
     def test_schema_fields(self):
         import json
 
-        obj = json.loads(cluster4().to_json())
+        obj = json.loads(pure_state_to_json(cluster4()))
         assert set(obj) == {"n", "re", "im"}
         assert obj["n"] == 4
 
