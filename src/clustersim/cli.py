@@ -118,20 +118,12 @@ def _cmd_witness(args) -> dict:
         "noise": args.noise,
         "b2": {"bound": witness_expectation(state, b2), "sigma": None},
         "b4": {"bound": witness_expectation(state, b4), "sigma": None},
-        "settings": {
-            "b2": [s.bases for s in required_settings(b2)],
-            "b4": [s.bases for s in required_settings(b4)],
-        },
+        "settings": {name: [s.bases for s in required_settings(b)] for name, b in (("b2", b2), ("b4", b4))},
     }
 
 
 def _cmd_schmidt(args) -> dict:
-    states = {
-        "cluster4": cluster4(),
-        "ghz4": named_state("ghz4"),
-        "w4": named_state("w4"),
-        "dicke4": named_state("dicke4"),
-    }
+    states = {"cluster4": cluster4(), **{name: named_state(name) for name in ("ghz4", "w4", "dicke4")}}
     signatures = {name: list(rank_signature(s)) for name, s in states.items()}
     ceilings = {
         key: {f"k{k}": fidelity_ceiling(cluster4(), part, k) for k in (1, 2, 3, 4)}
@@ -200,11 +192,10 @@ def _cmd_bounds(args) -> dict:
 
 def _cmd_sample(args) -> str:
     state = _resource_state(args.noise)
-    settings = (
-        [s.strip() for s in args.settings.split(",")]
-        if args.settings
-        else [s.bases for s in required_settings(build_b4())]
-    )
+    if args.settings is None:
+        settings = [s.bases for s in required_settings(build_b4())]
+    else:  # an empty string is one empty setting, a usage error below
+        settings = [s.strip() for s in args.settings.split(",")]
     records = []
     for i, bases in enumerate(settings):
         try:  # a malformed setting, or one whose length is not the resource's 4 qubits
@@ -276,19 +267,14 @@ def run(argv) -> int:
         if args.subcommand is None:
             raise UsageError("a subcommand is required")
         if args.subcommand == "sample":
-            if args.shots < 1:
-                raise UsageError("--shots must be positive")
+            if not 1 <= args.shots <= 2**63 - 1:  # numpy draws at most a C long of events
+                raise UsageError(f"--shots must lie in 1..2**63 - 1, got {args.shots}")
             if args.seed < 0:
                 raise UsageError("--seed must be nonnegative")
             output = _cmd_sample(args)
         else:
-            handler = {
-                "witness": _cmd_witness,
-                "schmidt": _cmd_schmidt,
-                "mbqc": _cmd_mbqc,
-                "bounds": _cmd_bounds,
-                "ingest": _cmd_ingest,
-            }[args.subcommand]
+            handler = {"witness": _cmd_witness, "schmidt": _cmd_schmidt, "mbqc": _cmd_mbqc,
+                       "bounds": _cmd_bounds, "ingest": _cmd_ingest}[args.subcommand]
             output = json.dumps(handler(args), indent=2) + "\n"
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

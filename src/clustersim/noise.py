@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, _check_qubits, _pauli_kernel, _trusted
+from .states import _ROW_BLOCK, DensityMatrix, PureState, _check_qubits, _pauli_kernel, _trusted
 
 
 @dataclass(frozen=True)
@@ -55,12 +55,6 @@ def _field(convert, text: str, message: str):
         raise ValueError(message.format(text)) from None
 
 
-def _dephase_one(rho: np.ndarray, p: float, qubit: int, n: int) -> np.ndarray:
-    """(1 - p) rho + p Z rho Z, where Z rho Z = (s s^T) * rho for Z's signs s."""
-    s = _pauli_kernel(("Z",), n, (qubit,))[1][0].real
-    return (1 - p) * rho + p * (np.outer(s, s) * rho)
-
-
 def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
     """Apply the channel to a pure state, returning a density matrix."""
     n = state.n_qubits
@@ -70,7 +64,10 @@ def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
     else:
         qubits = spec.qubits if spec.qubits is not None else tuple(range(1, n + 1))
         _check_qubits(qubits, n)
-        for q in qubits:
-            rho = _dephase_one(rho, spec.p, q, n)
+        for q in qubits:  # (1 - p) rho + p Z rho Z, where Z rho Z = (s s^T) * rho for Z's signs s
+            s = _pauli_kernel(("Z",), n, (q,))[1][0].real
+            for i in range(0, len(rho), _ROW_BLOCK):  # in place, row block by row block
+                block = rho[i : i + _ROW_BLOCK]
+                block[...] = (1 - spec.p) * block + spec.p * (np.outer(s[i : i + _ROW_BLOCK], s) * block)
     return _trusted(DensityMatrix, n, rho)
 

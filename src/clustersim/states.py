@@ -32,6 +32,7 @@ import numpy as np
 
 NORM_ATOL = 1e-10
 PSD_ATOL = 1e-8
+_ROW_BLOCK = 64  # rows per block where a whole 4^n temporary would be 16 MiB at n = 10
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,8 @@ class DensityMatrix:
         mat = np.array(self.entries, dtype=complex, order="C")
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > NORM_ATOL:
+        if any(np.max(np.abs(mat[i : i + _ROW_BLOCK] - mat[:, i : i + _ROW_BLOCK].conj().T)) > NORM_ATOL
+               for i in range(0, dim, _ROW_BLOCK)):
             raise ValueError("matrix is not Hermitian")
         if abs(np.trace(mat).real - 1.0) > NORM_ATOL:
             raise ValueError("trace is not 1")

@@ -115,11 +115,4 @@ def required_settings(b: ObservableSum) -> list[TomographicSetting]:
                 break
         else:
             groups.append(term.word)
-    settings = []
-    seen = set()
-    for g in groups:
-        completed = g.replace("I", "Z")
-        if completed not in seen:
-            seen.add(completed)
-            settings.append(TomographicSetting(completed))
-    return settings
+    return [TomographicSetting(g) for g in dict.fromkeys(g.replace("I", "Z") for g in groups)]

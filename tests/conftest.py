@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from clustersim.classical_bound import MAX_TARGETS
-from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState
+from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState, _pauli_kernel, _setting_bras
 from clustersim.witness import ObservableSum
 
 
@@ -204,3 +204,41 @@ def sequential_sample(steps, resource: PureState, seed):
         labels.pop(pos - 1)
         bits += str(bit)
     return bits
+
+
+# --- whole-array oracles for the row-blocked kernels --------------------------
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal as float arrays, signed zeros included (array_equal alone takes
+    -0.0 == 0.0)."""
+    a, b = np.asarray(a).view(float), np.asarray(b).view(float)
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def whole_dephased(state: PureState, p: float, qubits) -> np.ndarray:
+    """`noise.apply_noise`'s dephasing as one whole-array expression per qubit:
+    (1 - p) rho + p (s s^T) * rho for Z's signs s."""
+    n = state.n_qubits
+    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    for q in qubits:
+        s = _pauli_kernel(("Z",), n, (q,))[1][0].real
+        rho = (1 - p) * rho + p * (np.outer(s, s) * rho)
+    return rho
+
+
+def whole_born(state, bases: str) -> np.ndarray:
+    """`counts.born_distribution` without its memo, the mixed case as one
+    einsum over the whole Kronecker bras."""
+    u = _setting_bras(bases)
+    if isinstance(state, PureState):
+        probs = np.abs(u @ state.amplitudes) ** 2
+    else:
+        probs = np.real(np.einsum("ij,jk,ik->i", u, state.entries, u.conj()))
+    probs = np.clip(probs, 0.0, None)
+    return probs / probs.sum()
+
+
+def whole_hermitian_gap(mat: np.ndarray) -> float:
+    """max |mat - mat^dagger| over the whole matrix at once."""
+    return float(np.max(np.abs(mat - mat.conj().T)))

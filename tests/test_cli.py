@@ -173,6 +173,29 @@ class TestSampleIngest:
         assert proc.returncode == 1
         assert proc.stderr.startswith("usage error: setting 'XXZ'") and "Traceback" not in proc.stderr
 
+    def test_empty_settings_is_usage_error(self, capsys):
+        """An empty --settings is one empty setting, as in 'XXZZ,', not the default list."""
+        for settings in ("", "XXZZ,"):
+            assert run(["sample", "--settings", settings, "--shots", "10"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "usage error: invalid setting ''\n"
+
+    @pytest.mark.parametrize("shots", ["0", "9223372036854775808", "99999999999999999999999"])
+    def test_shots_outside_c_long_is_usage_error(self, shots, capsys):
+        assert run(["sample", "--shots", shots]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --shots must lie in 1..2**63 - 1, got {shots}\n"
+
+    def test_huge_shots_process_exit(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-m", "clustersim.cli", "sample", "--shots", "99999999999999999999999"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage error: --shots") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file_is_data_error(self, capsys):
         assert run(["ingest", "--counts", "/nonexistent/file.csv"]) == 2
 

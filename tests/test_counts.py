@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from clustersim import counts
 from clustersim.counts import (
     CountRecord,
     ZeroCountsError,
@@ -19,7 +20,7 @@ from clustersim.counts import (
     witness_from_counts,
 )
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, LocalBasis, PureState, cluster4, measure, named_state
+from clustersim.states import DensityMatrix, LocalBasis, PureState, _setting_bras, cluster4, measure, named_state
 from clustersim.witness import (
     TomographicSetting,
     build_b2,
@@ -27,7 +28,11 @@ from clustersim.witness import (
     required_settings,
     witness_expectation,
 )
-from conftest import dense_pauli, random_density_matrix, random_pure_state
+from conftest import bitwise_equal, dense_pauli, random_density_matrix, random_pure_state, whole_born
+
+
+def random_setting(n: int, rng) -> TomographicSetting:
+    return TomographicSetting("".join(rng.choice(list("XYZ"), size=n)))
 
 
 class TestBornDistribution:
@@ -80,6 +85,97 @@ class TestBornDistribution:
         with pytest.raises(ValueError, match="setting 'XXZ' does not match a register of 4 qubits"):
             born_distribution(state, TomographicSetting("XXZ"))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_blocks_match_whole_einsum(self, n, rng):
+        """Up to n = 8 (four 64-row blocks of bras): bit for bit, signed zeros included."""
+        pure = random_pure_state(n, rng)
+        noisy = apply_noise(PureState.from_amplitudes(np.ones(2**n)), NoiseSpec("dephase", 0.1))
+        for state in (pure, noisy, random_density_matrix(n, rng), DensityMatrix.maximally_mixed(n)):
+            setting = random_setting(n, rng)
+            assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
+
+
+class TestBornMemo:
+    """born_distribution, sample_counts and exact_record share one content-keyed memo."""
+
+    def test_hit_equals_fresh_computation(self, rng, monkeypatch):
+        rho, setting = random_density_matrix(5, rng), random_setting(5, rng)
+        contractions = []
+        monkeypatch.setattr(counts, "_setting_bras", lambda b: contractions.append(b) or _setting_bras(b))
+        first = born_distribution(rho, setting)
+        hit = born_distribution(rho, setting)
+        assert len(contractions) == 1
+        counts._BORN.clear()
+        fresh = born_distribution(rho, setting)
+        assert len(contractions) == 2
+        assert bitwise_equal(first, hit) and bitwise_equal(hit, fresh)
+        assert bitwise_equal(fresh, whole_born(rho, setting.bases))
+
+    def test_caller_mutation_does_not_reach_the_memo(self, rng):
+        state, setting = random_pure_state(4, rng), random_setting(4, rng)
+        probs = born_distribution(state, setting)
+        assert probs.flags.writeable
+        probs[:] = 0.0
+        assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
+
+    @pytest.mark.parametrize("mixed_first", [True, False])
+    def test_pure_and_mixed_of_equal_bytes_do_not_collide(self, mixed_first, rng):
+        """A pure rho's entries, flattened, are a unit vector: a pure state on
+        2n qubits with the same bytes as the n-qubit density matrix."""
+        rho = random_pure_state(3, rng).to_density()
+        pure = PureState(6, rho.entries.reshape(-1))
+        assert pure.amplitudes.tobytes() == rho.entries.tobytes()
+        cases = [(rho, TomographicSetting("XYZ")), (pure, TomographicSetting("XYZXYZ"))]
+        for state, setting in cases if mixed_first else cases[::-1]:
+            assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
+
+    def test_altered_array_gets_a_fresh_vector(self, rng):
+        rho, setting = random_density_matrix(4, rng), random_setting(4, rng)
+        before = born_distribution(rho, setting)
+        rho.entries.flags.writeable = True
+        rho.entries[:] = np.eye(16) / 16
+        rho.entries.flags.writeable = False
+        after = born_distribution(rho, setting)
+        assert not np.array_equal(before, after)
+        assert bitwise_equal(after, np.full(16, 1 / 16))
+
+    @pytest.mark.parametrize("n", [2, 6])
+    def test_sample_counts_draws_from_born_distribution(self, n, rng):
+        rho = apply_noise(random_pure_state(n, rng), NoiseSpec("white", 0.8))
+        setting = random_setting(n, rng)
+        counts._BORN.clear()
+        for total, seed in ((1, 0), (12345, 7), (10**9, 2**40)):
+            expected = np.random.default_rng(seed).multinomial(total, born_distribution(rho, setting))
+            assert np.array_equal(sample_counts(rho, setting, total, seed).counts, expected)
+
+    def test_exact_record_uses_the_same_vector(self, rng):
+        state, setting = random_density_matrix(3, rng), random_setting(3, rng)
+        record = exact_record(state, setting, total=10**6)
+        assert np.array_equal(record.counts, np.rint(whole_born(state, setting.bases) * 10**6))
+
+    def test_memo_is_bounded(self, rng):
+        setting = TomographicSetting("XZ")
+        for _ in range(3 * counts._BORN_ENTRIES):
+            born_distribution(random_pure_state(2, rng), setting)
+        assert len(counts._BORN) == counts._BORN_ENTRIES
+        assert all(not v.flags.writeable and v.nbytes == 8 * 2**2 for v in counts._BORN.values())
+
+    def test_sample_counts_hits_after_born_distribution(self, rng, monkeypatch):
+        rho, setting = random_density_matrix(4, rng), random_setting(4, rng)
+        contractions = []
+        monkeypatch.setattr(counts, "_setting_bras", lambda b: contractions.append(b) or _setting_bras(b))
+        born_distribution(rho, setting)
+        sample_counts(rho, setting, 1000, seed=1)
+        exact_record(rho, setting)
+        assert contractions == [setting.bases]
+
+    def test_checks_run_on_a_hit(self):
+        born_distribution(cluster4(), TomographicSetting("XXZZ"))
+        with pytest.raises(ValueError, match="does not match a register of 4 qubits"):
+            sample_counts(cluster4(), TomographicSetting("XXZ"), 10, seed=0)
+        with pytest.raises(TypeError, match="unsupported state type"):
+            exact_record(cluster4().amplitudes, TomographicSetting("XXZZ"))
+
 
 class TestSampling:
     def test_counts_sum_to_total(self):
@@ -112,6 +208,13 @@ class TestSampling:
     def test_total_must_be_positive(self):
         with pytest.raises(ValueError):
             sample_counts(cluster4(), TomographicSetting("XXZZ"), 0, seed=0)
+
+    def test_total_above_c_long_named(self):
+        setting = TomographicSetting("XXZZ")
+        assert sample_counts(cluster4(), setting, 2**63 - 1, seed=0).total == 2**63 - 1
+        for total in (2**63, 10**23):
+            with pytest.raises(ValueError, match=f"^total {total} exceeds 2\\*\\*63 - 1$"):
+                sample_counts(cluster4(), setting, total, seed=0)
 
 
 class TestProbabilities:

@@ -2,8 +2,17 @@ import numpy as np
 import pytest
 
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import cluster4, fidelity, named_state, pauli_expectation
+from clustersim.states import PureState, cluster4, fidelity, named_state, pauli_expectation
 from clustersim.witness import build_b2, build_b4, witness_expectation
+from conftest import bitwise_equal, random_pure_state, whole_dephased
+
+
+def sparse_state(n: int, rng) -> PureState:
+    """At most three nonzero amplitudes, so the dephased matrix is mostly
+    zeros, whose signs the comparison checks too."""
+    amps = np.zeros(2**n, dtype=complex)
+    amps[rng.choice(2**n, size=min(3, 2**n), replace=False)] = [1.0, -0.5j, -0.25][: min(3, 2**n)]
+    return PureState.from_amplitudes(amps)
 
 
 class TestNoiseSpec:
@@ -113,3 +122,12 @@ class TestDephasing:
         with pytest.raises(ValueError):
             apply_noise(cluster4(), NoiseSpec("dephase", 0.1, (7,)))
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_row_blocks_match_whole_array(self, n, rng):
+        """Up to n = 8 (four 64-row blocks): bit for bit, signed zeros included."""
+        for state in (PureState.from_amplitudes(np.ones(2**n)), random_pure_state(n, rng), sparse_state(n, rng)):
+            for p, qubits in ((0.0, None), (1.0, (n,)), (float(rng.uniform(0, 0.5)), None),
+                              (float(rng.uniform(0, 0.5)), tuple(sorted({1, int(rng.integers(1, n + 1))})))):
+                rho = apply_noise(state, NoiseSpec("dephase", p, qubits))
+                oracle = whole_dephased(state, p, qubits or range(1, n + 1))
+                assert bitwise_equal(rho.entries, oracle)

@@ -31,6 +31,7 @@ from conftest import (
     random_density_matrix,
     random_pure_state,
     tensordot_measure,
+    whole_hermitian_gap,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -365,6 +366,15 @@ class TestValidation:
             DensityMatrix(1, np.array([[0.5, 0.5j], [0.5j, 0.5]]))
         with pytest.raises(ValueError):
             DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
+
+    @pytest.mark.parametrize("entry,delta", [((100, 120), 1e-6), ((127, 127), 1e-6j)])
+    def test_non_hermitian_entry_in_last_row_block(self, entry, delta, rng):
+        """n = 7 has two 64-row blocks; the defect and its mirror lie in the second only."""
+        mat = np.array(random_density_matrix(7, rng).entries)
+        mat[entry] += delta
+        assert whole_hermitian_gap(mat) > 1e-10
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityMatrix(7, mat)
 
     def test_basis_index(self):
         assert basis_index("HHVV") == 3
