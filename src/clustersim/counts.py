@@ -6,26 +6,25 @@ Outcome labels per local basis: Z -> H/V, X -> +/-, Y -> R/L, with the
 first label (bit 0) being the +1 eigenvector of the corresponding Pauli
 operator. Outcomes are indexed with qubit 1 as the most significant bit.
 
-`born_distribution`, `sample_counts` and `exact_record` share one LRU of 16
-read-only Born vectors keyed by (setting, state shape, SHA-256 digest of the
-state's bytes, read in place): 16 x 8·2^n bytes (128 KiB at n = 10).
+Each Born vector is computed once per (state, setting), in the memo that
+branch tables share (`states._memoised`). Counts are int64; a count or a
+setting's total past 2**63 - 1 is an error, not a wrap.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _ROW_BLOCK, DensityMatrix, PureState, _pauli_kernel, _setting_bras
+from .states import _ROW_BLOCK, DensityMatrix, LocalBasis, PureState, _memoised, _pauli_kernel
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
+_MAX_COUNT = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,16 @@ class CountRecord:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts, dtype=np.int64)
+        try:
+            counts = np.array(self.counts, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"setting {self.setting.bases}: counts must lie in 0..2**63 - 1") from None
         if counts.shape != (2 ** len(self.setting.bases),):
             raise ValueError("counts length must be 2^n for the setting")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        counts = counts.copy()
+        if sum(counts.tolist()) > _MAX_COUNT:  # Python ints: an int64 sum would wrap
+            raise ValueError(f"setting {self.setting.bases}: total count exceeds 2**63 - 1")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
 
@@ -71,10 +74,6 @@ def outcome_index(setting: TomographicSetting, label: str) -> int:
     return idx
 
 
-_BORN: OrderedDict = OrderedDict()  # oldest first; each call on it is one atomic step under the GIL
-_BORN_ENTRIES = 16
-
-
 def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
     """Exact outcome probabilities for measuring every qubit in its setting
     basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector), memoised."""
@@ -84,22 +83,26 @@ def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
     if len(setting.bases) != n:
         raise ValueError(f"setting {setting.bases!r} does not match a register of {n} qubits")
     tensor = state.amplitudes if isinstance(state, PureState) else state.entries
-    key = (setting.bases, tensor.shape, hashlib.sha256(tensor).digest())
-    probs = _BORN.pop(key, None)
-    if probs is None:
-        u = _setting_bras(setting.bases)
-        if isinstance(state, PureState):
-            probs = np.abs(u @ tensor) ** 2
-        else:  # over row blocks of u, bit-identical to one einsum without a whole u.conj()
-            blocks = (u[i : i + _ROW_BLOCK] for i in range(0, len(u), _ROW_BLOCK))
-            probs = np.concatenate([np.real(np.einsum("ij,jk,ik->i", b, tensor, b.conj())) for b in blocks])
-        probs = np.clip(probs, 0.0, None)
-        probs = probs / probs.sum()
-        probs.flags.writeable = False
-    _BORN[key] = probs
-    if len(_BORN) > _BORN_ENTRIES:
-        _BORN.popitem(last=False)
-    return probs.copy()
+    return _born(setting.bases, tensor).copy()
+
+
+@_memoised
+def _born(bases: str, tensor: np.ndarray) -> np.ndarray:
+    """Bras u (2^n, 2^n), row = outcome index: the Kronecker product of the
+    letters' conj(LocalBasis(b).vectors()) by broadcasting, as np.kron's values."""
+    u = np.ones((1, 1), dtype=complex)
+    for b in bases:
+        rows = np.conj(LocalBasis(b).vectors())
+        u = (u[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(u), -1)
+    if tensor.ndim == 1:
+        probs = np.abs(u @ tensor) ** 2
+    else:  # over row blocks of u, bit-identical to one einsum without a whole u.conj()
+        blocks = (u[i : i + _ROW_BLOCK] for i in range(0, len(u), _ROW_BLOCK))
+        probs = np.concatenate([np.real(np.einsum("ij,jk,ik->i", b, tensor, b.conj())) for b in blocks])
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    probs.flags.writeable = False
+    return probs
 
 
 def sample_counts(state, setting: TomographicSetting, total: int, seed: int) -> CountRecord:
@@ -107,7 +110,7 @@ def sample_counts(state, setting: TomographicSetting, total: int, seed: int) -> 
     distribution; deterministic given the seed."""
     if total < 1:
         raise ValueError("total must be at least 1")
-    if total > 2**63 - 1:
+    if total > _MAX_COUNT:
         raise ValueError(f"total {total} exceeds 2**63 - 1")
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(total, born_distribution(state, setting))
@@ -153,17 +156,13 @@ def expectation_from_counts(rec: CountRecord, word) -> tuple[float, float]:
 
 
 def _aggregate(records: list[CountRecord]) -> list[CountRecord]:
-    """Sum records sharing a setting, keeping first-appearance order."""
-    merged: dict[str, np.ndarray] = {}
-    order: list[TomographicSetting] = []
+    """Sum records sharing a setting, keeping first-appearance order; the
+    sums are exact Python ints, so one past 2**63 - 1 is an error, not a wrap."""
+    merged: dict[str, tuple] = {}
     for rec in records:
-        key = rec.setting.bases
-        if key in merged:
-            merged[key] = merged[key] + rec.counts
-        else:
-            merged[key] = np.array(rec.counts)
-            order.append(rec.setting)
-    return [CountRecord(s, merged[s.bases]) for s in order]
+        setting, summed = merged.get(rec.setting.bases, (rec.setting, 0))
+        merged[rec.setting.bases] = setting, summed + rec.counts.astype(object)
+    return [CountRecord(s, c) for s, c in merged.values()]
 
 
 def witness_from_counts(records: list[CountRecord], b: ObservableSum) -> tuple[float, float]:
@@ -195,13 +194,14 @@ CSV_HEADER = ["setting", "outcome", "count"]
 
 def parse_counts(text: str) -> list[CountRecord]:
     """Parse CSV with header `setting,outcome,count`; rows sharing a setting
-    are grouped (first-appearance order) and missing outcomes default to 0."""
+    are grouped (first-appearance order) and missing outcomes default to 0.
+    A row that takes its setting's total past 2**63 - 1 is an error."""
     reader = csv.reader(io.StringIO(text))
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows or [c.strip() for c in rows[0]] != CSV_HEADER:
         raise ValueError("expected header 'setting,outcome,count'")
-    accum: dict[str, np.ndarray] = {}
-    order: list[TomographicSetting] = []
+    accum: dict[str, list] = {}  # Python ints, so that no sum wraps
+    totals: dict[str, int] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             raise ValueError(f"line {lineno}: expected 3 fields")
@@ -215,10 +215,12 @@ def parse_counts(text: str) -> list[CountRecord]:
             raise ValueError(f"line {lineno}: negative count")
         idx = outcome_index(setting, outcome)
         if setting_str not in accum:
-            accum[setting_str] = np.zeros(2 ** len(setting_str), dtype=np.int64)
-            order.append(setting)
+            accum[setting_str], totals[setting_str] = [0] * 2 ** len(setting_str), 0
+        totals[setting_str] += count
+        if totals[setting_str] > _MAX_COUNT:
+            raise ValueError(f"line {lineno}: setting {setting_str}'s total count exceeds 2**63 - 1")
         accum[setting_str][idx] += count
-    return [CountRecord(s, accum[s.bases]) for s in order]
+    return [CountRecord(TomographicSetting(s), c) for s, c in accum.items()]
 
 
 def serialize_counts(records: list[CountRecord]) -> str:

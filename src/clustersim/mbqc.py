@@ -7,11 +7,11 @@ gather. It depends only on its angles, so both builders are memoised per
 instruction (32 each). The measurements run on `states`' one batched
 contraction (`_branches`), which `measure` uses too: it gives every outcome
 branch at once to feedforward derivation, pure and noisy execution and the
-reassignment check. It is memoised by content, so a pattern's branches are
-contracted once per resource (8 kept, at worst about 256·4^n bytes: 64 KiB at
-n = 4). Each branch's correction is the first Pauli word, in I < X < Y < Z
-order, that maps it onto the circuit-model target state. Output states are
-valid by construction and skip the public constructors' checks (see `states`).
+reassignment check, and is memoised by content (`states._memoised`), so a
+pattern's branches are contracted once per resource. Each branch's
+correction is the first Pauli word, in I < X < Y < Z order, that maps it onto
+the circuit-model target state. Output states are valid by construction and
+skip the public constructors' checks (see `states`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .states import (
     _branch,
     _branches,
     _pauli_kernel,
-    _setting_bras,
     _trusted,
     apply_gate,
     cluster4,
@@ -61,7 +60,7 @@ class MeasurementPattern:
     target: PureState | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
+        object.__setattr__(self, "steps", tuple((q, b) for q, b in self.steps))
         object.__setattr__(self, "output_qubits", tuple(self.output_qubits))
         measured = {q for q, _ in self.steps}
         if measured & set(self.output_qubits):
@@ -77,15 +76,6 @@ class MeasurementPattern:
                 raise ValueError(f"branch {b}: correction {word!r} is not a Pauli word on {k} qubits")
         object.__setattr__(self, "corrections", MappingProxyType(dict(zip(branches, words))))
         object.__setattr__(self, "_ops", _pauli_kernel(words, k))  # read-only per-branch (flip, phase)
-
-
-@functools.lru_cache(maxsize=4)
-def _pauli_bras(k: int) -> np.ndarray:
-    """Read-only bras (6^k, 2^k) of all 3^k Pauli settings on k qubits, each
-    setting's 2^k outcomes in a block; 16·12^k bytes."""
-    bras = np.concatenate([_setting_bras("".join(s)) for s in itertools.product("XYZ", repeat=k)])
-    bras.flags.writeable = False
-    return bras
 
 
 def _run(pattern: MeasurementPattern, resource, branch, seed=None):
@@ -105,10 +95,10 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     target (fidelity above 1 - FEEDFORWARD_FID_TOL), trying all words on all
     branches in one batched product. Raises if some branch is impossible or
     not Pauli-equivalent to the target (wrong pattern or resource)."""
-    n_out = len(output_qubits)
+    n_out, steps = len(output_qubits), tuple((q, b) for q, b in steps)
     states, probs, _ = _branches(steps, resource.n_qubits, resource.amplitudes)
-    words = ["".join(w) for w in itertools.product("IXYZ", repeat=n_out)]
-    flip, phase = _pauli_kernel(tuple(words), n_out)
+    words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))
+    flip, phase = _pauli_kernel(words, n_out)
     overlaps = (target.amplitudes.conj()[flip] * phase) @ states.T  # <target|P_w, row w
     hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs > 0)
     branches = ["".join(b) for b in itertools.product("01", repeat=len(steps))]
@@ -183,23 +173,24 @@ def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch
 def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -> bool:
     """Check that applying the stored correction then measuring in Pauli
     bases is equivalent to measuring the uncorrected branch state in the
-    correction-conjugated (reassigned) bases, for every branch. One cached
-    stack holds the bras of all 3^k Pauli bases and 2^k outcomes on the k
-    output qubits, and <m|P psi> = <P^dagger m|psi>."""
-    n_out, m = len(pattern.output_qubits), len(pattern.steps)
-    if pattern.target is not None:
-        reference = pattern.target.amplitudes
-    else:
-        reference = execute(pattern, resource, branch="0" * m)[0].amplitudes
+    correction-conjugated (reassigned) bases, for every branch. A pure
+    state's statistics in all 3^k Pauli settings on the k output qubits fix
+    its 4^k Pauli expectations and are fixed by them, so the check compares
+    <P_b psi_b|Q|P_b psi_b> with <target|Q|target> for every word Q."""
+    n_out = len(pattern.output_qubits)
+    if resource.n_qubits != pattern.resource_size:
+        raise ValueError("resource size does not match pattern")
     states, probs, _ = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
     if not probs.all():
         raise ValueError("a branch of the pattern has probability ~0")
     flip, phase = pattern._ops
     corrected = (phase * states)[np.arange(len(flip))[:, None], flip]  # row b is P_b psi_b
-    bras = _pauli_bras(n_out)
-    p_ref = np.abs(bras @ reference) ** 2
-    p_rot = np.abs(bras @ corrected.T) ** 2
-    return bool(np.all(np.abs(p_rot - p_ref[:, None]) <= 1e-9))
+    reference = corrected[0] if pattern.target is None else pattern.target.amplitudes
+    psi = np.vstack([reference, corrected])
+    words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))  # derive_feedforward's table
+    q_flip, q_phase = _pauli_kernel(words, n_out)  # <psi|Q|psi> = sum_i psi*[flip_i] phase_i psi_i
+    e = np.einsum("bwi,wi,bi->bw", psi.conj()[:, q_flip], q_phase, psi).real
+    return bool(np.all(np.abs(e[1:] - e[0]) <= 1e-9))
 
 
 # Instruction sweeps matching the two reference tables of gate settings.

@@ -11,21 +11,26 @@ Conventions used throughout the package:
     |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
   * All state comparisons are fidelity-based; global phase is never fixed.
 
-Local measurements have one contraction, `_branch_table`: it gives every
-outcome branch of a list of single-qubit measurements on a pure or density
-state at once, memoised by content, and `_branch` picks one branch from it.
-`measure` is its one-step call and `mbqc` runs whole patterns on it.
+Local measurements have one contraction, `_branches`: it gives every outcome
+branch of a list of single-qubit measurements on a pure or density state at
+once, and `_branch` picks one branch from it. `measure` is its one-step call
+and `mbqc` runs whole patterns on it. Branch tables and Born vectors share
+one memo, `_memoised`: 16 read-only results, LRU, keyed by a digest of the
+state read in place, so at most 256·4^n bytes and no copy of a state.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
-positivity. States built from valid ones in `apply_gate`, `measure`, `to_density`,
-`noise.apply_noise` and `mbqc.execute[_density]` skip them through `_trusted`.
+positivity, each written so that NaN fails it. States built from valid ones
+in `apply_gate`, `measure`, `to_density`, `noise.apply_noise` and
+`mbqc.execute[_density]` skip them through `_trusted`.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +56,7 @@ class PureState:
                 f"expected {2**self.n_qubits} amplitudes, got {amps.shape}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_ATOL:
+        if not abs(norm - 1.0) <= NORM_ATOL:
             raise ValueError(f"state not normalized: |norm - 1| = {abs(norm - 1.0):.2e}")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -64,8 +69,8 @@ class PureState:
         if 2**n != amps.size:
             raise ValueError("amplitude length must be a power of two")
         norm = np.linalg.norm(amps)
-        if norm < 1e-12:
-            raise ValueError("zero vector cannot be normalized")
+        if not 1e-12 <= norm < math.inf:
+            raise ValueError(f"cannot normalize a vector of norm {norm:.2e}")
         return cls(n, amps / norm)
 
     def to_density(self) -> "DensityMatrix":
@@ -87,12 +92,12 @@ class DensityMatrix:
         mat = np.array(self.entries, dtype=complex, order="C")
         if mat.shape != (dim, dim):
             raise ValueError(f"expected {dim}x{dim} matrix, got {mat.shape}")
-        if any(np.max(np.abs(mat[i : i + _ROW_BLOCK] - mat[:, i : i + _ROW_BLOCK].conj().T)) > NORM_ATOL
+        if any(not np.max(np.abs(mat[i : i + _ROW_BLOCK] - mat[:, i : i + _ROW_BLOCK].conj().T)) <= NORM_ATOL
                for i in range(0, dim, _ROW_BLOCK)):
             raise ValueError("matrix is not Hermitian")
-        if abs(np.trace(mat).real - 1.0) > NORM_ATOL:
+        if not abs(np.trace(mat).real - 1.0) <= NORM_ATOL:
             raise ValueError("trace is not 1")
-        if np.linalg.eigvalsh(mat)[0] < -PSD_ATOL:
+        if not np.linalg.eigvalsh(mat)[0] >= -PSD_ATOL:
             raise ValueError("matrix has a significantly negative eigenvalue")
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
@@ -183,45 +188,46 @@ class LocalBasis:
         return (zero + phase * one) / math.sqrt(2), (zero - phase * one) / math.sqrt(2)
 
 
-def _setting_bras(bases: str) -> np.ndarray:
-    """Bras (2^n, 2^n) of every outcome of a Pauli setting like 'XXZZ', row
-    = outcome index with qubit 1 most significant: the Kronecker product of
-    conj(LocalBasis(b).vectors()) over the letters, as broadcast products
-    (np.kron's values without its overhead). Not cached: 16 MiB at n = 10."""
-    bras = np.ones((1, 1), dtype=complex)
-    for b in bases:
-        rows = np.conj(LocalBasis(b).vectors())
-        bras = (bras[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(bras), -1)
-    return bras
-
-
 # --- local measurements -------------------------------------------------
 
 
-def _branches(steps, n: int, tensor: np.ndarray):
-    """Every outcome branch of the measurements on amplitudes (2^n,) or a
-    density matrix (2^n, 2^n), memoised by content in `_branch_table`.
-    Returns read-only (states, probs, conds): per branch b (first step most
+_MEMO: OrderedDict = OrderedDict()  # oldest first; each call on it is one atomic step under the GIL
+_MEMO_ENTRIES = 16
+
+
+def _memoised(compute):
+    """`compute(*args, tensor)` memoised in `_MEMO` under (compute's name, the
+    hashable args, the tensor's shape, SHA-256 digest of the C-contiguous
+    tensor read in place); results are read-only, shared by every caller."""
+    def lookup(*args):
+        key = (compute.__name__, *args[:-1], args[-1].shape, hashlib.sha256(args[-1]).digest())
+        value = _MEMO.pop(key, None)
+        if value is None:
+            value = compute(*args)
+        _MEMO[key] = value
+        if len(_MEMO) > _MEMO_ENTRIES:
+            _MEMO.popitem(last=False)
+        return value
+
+    return lookup
+
+
+@_memoised
+def _branches(steps: tuple, n: int, tensor: np.ndarray):
+    """Every outcome branch of the measurements, a tuple of (qubit, LocalBasis)
+    pairs, on amplitudes (2^n,) or a density matrix (2^n, 2^n). Returns
+    read-only (states, probs, conds): per branch b (first step most
     significant), its state on the other qubits in label order and its
     probability (0 if a step's conditional probability is below 1e-12); per
     step k, the conditional probability of the last bit of each (k + 1)-bit
-    prefix."""
-    return _branch_table(tuple((q, b) for q, b in steps), n, tensor.shape, tensor.tobytes())
-
-
-# An entry holds the resource's bytes (its key) and its branch states, each at
-# most 16·4^n bytes on n qubits (16·2^n for amplitudes), and O(2^m) floats:
-# 8 entries stay under about 256·4^n bytes, 64 KiB at n = 4, 16 MiB at n = 8.
-@functools.lru_cache(maxsize=8)
-def _branch_table(steps: tuple, n: int, shape: tuple, data: bytes):
-    """The measured axes go first, in step order; step k contracts axis k of
-    every branch so far with conj([v0, v1]) (a density matrix's bra axis with
-    its conjugate) and normalises."""
-    mixed = len(shape) == 2
+    prefix. The measured axes go first, in step order; step k contracts axis
+    k of every branch so far with conj([v0, v1]) (a density matrix's bra axis
+    with its conjugate) and normalises."""
+    mixed = tensor.ndim == 2
     measured = [q - 1 for q, _ in steps]
     order = measured + [a for a in range(n) if a not in measured]
-    t = np.frombuffer(data, dtype=complex).reshape((2,) * n * len(shape))
-    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + shape)
+    t = tensor.reshape((2,) * n * tensor.ndim)
+    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + tensor.shape)
     probs, conds = np.ones(1), []
     for _, basis in steps:
         bra, rows, d = np.conj(basis.vectors()), len(t), t.shape[1] // 2
@@ -428,7 +434,7 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
     _check_qubits((qubit,), state.n_qubits)
     bits = None if select is None else (select,)
     outcome, amps, p = _branch(((qubit, basis),), state, bits, seed)
-    # a copy, so that the result does not pin a `_branch_table` entry
+    # a copy, so that the result does not pin a `_MEMO` entry
     return p, int(outcome), _trusted(PureState, state.n_qubits - 1, np.array(amps))
 
 

@@ -1,12 +1,15 @@
+import itertools
 import json
 import math
+from collections import Counter, OrderedDict
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from clustersim import states
 from clustersim.classical_bound import MAX_TARGETS
-from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState, _pauli_kernel, _setting_bras
+from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState, _pauli_kernel
 from clustersim.witness import ObservableSum
 
 
@@ -90,6 +93,28 @@ def observable_from_json(text: str) -> ObservableSum:
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+class MemoSpy(OrderedDict):
+    """An empty stand-in for `states._MEMO` that counts, per memoised function
+    ("_branches" or "_born"), the lookups that hit and those that missed."""
+
+    def __init__(self):
+        super().__init__()
+        self.hits, self.misses = Counter(), Counter()
+
+    def pop(self, key, default=None):
+        value = super().pop(key, default)
+        (self.misses if value is None else self.hits)[key[0]] += 1
+        return value
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """The content-keyed memo of `states`, emptied for this test and spied on."""
+    spy = MemoSpy()
+    monkeypatch.setattr(states, "_MEMO", spy)
+    return spy
 
 
 # --- set-partition oracle for classical_bound ------------------------------
@@ -206,6 +231,22 @@ def sequential_sample(steps, resource: PureState, seed):
     return bits
 
 
+def bras_reassignment_check(pattern, resource: PureState) -> bool:
+    """`mbqc.basis_reassignment_check` by Born probabilities: every outcome of
+    all 3^k Pauli settings on the k output qubits, from Kronecker bras, for
+    each corrected branch (`sequential_branch` then the dense correction)
+    against the target (or, without one, the corrected branch 0...0)."""
+    k, m = len(pattern.output_qubits), len(pattern.steps)
+    bras = np.concatenate([kron_bras("".join(s)) for s in itertools.product("XYZ", repeat=k)])
+    outputs = []
+    for bits in itertools.product("01", repeat=m):
+        residual = sequential_branch(pattern.steps, resource, "".join(bits))[0].amplitudes
+        outputs.append(dense_pauli(pattern.corrections["".join(bits)]) @ residual)
+    reference = outputs[0] if pattern.target is None else pattern.target.amplitudes
+    p_ref = np.abs(bras @ reference) ** 2
+    return all(np.all(np.abs(np.abs(bras @ out) ** 2 - p_ref) <= 1e-9) for out in outputs)
+
+
 # --- whole-array oracles for the row-blocked kernels --------------------------
 
 
@@ -227,10 +268,19 @@ def whole_dephased(state: PureState, p: float, qubits) -> np.ndarray:
     return rho
 
 
+def kron_bras(bases: str) -> np.ndarray:
+    """Bras (2^n, 2^n) of every outcome of a setting like 'XXZZ', row =
+    outcome index with qubit 1 most significant, by np.kron."""
+    u = np.ones((1, 1), dtype=complex)
+    for b in bases:
+        u = np.kron(u, np.conj(LocalBasis(b).vectors()))
+    return u
+
+
 def whole_born(state, bases: str) -> np.ndarray:
     """`counts.born_distribution` without its memo, the mixed case as one
     einsum over the whole Kronecker bras."""
-    u = _setting_bras(bases)
+    u = kron_bras(bases)
     if isinstance(state, PureState):
         probs = np.abs(u @ state.amplitudes) ** 2
     else:

@@ -196,6 +196,33 @@ class TestSampleIngest:
         assert proc.stderr.startswith("usage error: --shots") and "Traceback" not in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            (["XXZZ,++HH,100000000000000000000000"], 2),
+            (["XXZZ,++HH,9223372036854775807", "XXZZ,++HH,1"], 3),
+            (["XXZZ,++HH,4611686018427387904", "XXZZ,--HH,4611686018427387904"], 3),
+        ],
+    )
+    def test_counts_past_int64_are_data_errors(self, rows, line, tmp_path, capsys):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("\n".join(["setting,outcome,count", *rows]) + "\n")
+        assert run(["ingest", "--counts", str(csv_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"data error: line {line}: setting XXZZ's total count exceeds 2**63 - 1\n"
+
+    def test_counts_past_int64_process_exit(self, tmp_path):
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text("setting,outcome,count\nXXZZ,++HH,100000000000000000000000\n")
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "clustersim.cli"]
+        argv += ["ingest", "--counts", str(csv_path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("data error: line 2") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file_is_data_error(self, capsys):
         assert run(["ingest", "--counts", "/nonexistent/file.csv"]) == 2
 

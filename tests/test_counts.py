@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from clustersim import counts
+from clustersim import states
 from clustersim.counts import (
     CountRecord,
     ZeroCountsError,
@@ -20,7 +20,7 @@ from clustersim.counts import (
     witness_from_counts,
 )
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, LocalBasis, PureState, _setting_bras, cluster4, measure, named_state
+from clustersim.states import DensityMatrix, LocalBasis, PureState, cluster4, measure, named_state
 from clustersim.witness import (
     TomographicSetting,
     build_b2,
@@ -96,18 +96,17 @@ class TestBornDistribution:
 
 
 class TestBornMemo:
-    """born_distribution, sample_counts and exact_record share one content-keyed memo."""
+    """born_distribution, sample_counts and exact_record share one
+    content-keyed memo, the one `states._memoised` keeps for branch tables too."""
 
-    def test_hit_equals_fresh_computation(self, rng, monkeypatch):
+    def test_hit_equals_fresh_computation(self, rng, memo):
         rho, setting = random_density_matrix(5, rng), random_setting(5, rng)
-        contractions = []
-        monkeypatch.setattr(counts, "_setting_bras", lambda b: contractions.append(b) or _setting_bras(b))
         first = born_distribution(rho, setting)
         hit = born_distribution(rho, setting)
-        assert len(contractions) == 1
-        counts._BORN.clear()
+        assert (memo.misses["_born"], memo.hits["_born"]) == (1, 1)
+        memo.clear()
         fresh = born_distribution(rho, setting)
-        assert len(contractions) == 2
+        assert memo.misses["_born"] == 2
         assert bitwise_equal(first, hit) and bitwise_equal(hit, fresh)
         assert bitwise_equal(fresh, whole_born(rho, setting.bases))
 
@@ -119,7 +118,7 @@ class TestBornMemo:
         assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
 
     @pytest.mark.parametrize("mixed_first", [True, False])
-    def test_pure_and_mixed_of_equal_bytes_do_not_collide(self, mixed_first, rng):
+    def test_pure_and_mixed_of_equal_bytes_do_not_collide(self, mixed_first, rng, memo):
         """A pure rho's entries, flattened, are a unit vector: a pure state on
         2n qubits with the same bytes as the n-qubit density matrix."""
         rho = random_pure_state(3, rng).to_density()
@@ -128,22 +127,23 @@ class TestBornMemo:
         cases = [(rho, TomographicSetting("XYZ")), (pure, TomographicSetting("XYZXYZ"))]
         for state, setting in cases if mixed_first else cases[::-1]:
             assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
+        assert memo.misses["_born"] == 2 and not memo.hits
 
-    def test_altered_array_gets_a_fresh_vector(self, rng):
+    def test_altered_array_gets_a_fresh_vector(self, rng, memo):
         rho, setting = random_density_matrix(4, rng), random_setting(4, rng)
         before = born_distribution(rho, setting)
         rho.entries.flags.writeable = True
         rho.entries[:] = np.eye(16) / 16
         rho.entries.flags.writeable = False
         after = born_distribution(rho, setting)
+        assert memo.misses["_born"] == 2 and not memo.hits
         assert not np.array_equal(before, after)
         assert bitwise_equal(after, np.full(16, 1 / 16))
 
     @pytest.mark.parametrize("n", [2, 6])
-    def test_sample_counts_draws_from_born_distribution(self, n, rng):
+    def test_sample_counts_draws_from_born_distribution(self, n, rng, memo):
         rho = apply_noise(random_pure_state(n, rng), NoiseSpec("white", 0.8))
         setting = random_setting(n, rng)
-        counts._BORN.clear()
         for total, seed in ((1, 0), (12345, 7), (10**9, 2**40)):
             expected = np.random.default_rng(seed).multinomial(total, born_distribution(rho, setting))
             assert np.array_equal(sample_counts(rho, setting, total, seed).counts, expected)
@@ -153,21 +153,21 @@ class TestBornMemo:
         record = exact_record(state, setting, total=10**6)
         assert np.array_equal(record.counts, np.rint(whole_born(state, setting.bases) * 10**6))
 
-    def test_memo_is_bounded(self, rng):
+    def test_memo_is_bounded(self, rng, memo):
         setting = TomographicSetting("XZ")
-        for _ in range(3 * counts._BORN_ENTRIES):
+        for _ in range(3 * states._MEMO_ENTRIES):
             born_distribution(random_pure_state(2, rng), setting)
-        assert len(counts._BORN) == counts._BORN_ENTRIES
-        assert all(not v.flags.writeable and v.nbytes == 8 * 2**2 for v in counts._BORN.values())
+        assert len(memo) == states._MEMO_ENTRIES == 16
+        assert memo.misses["_born"] == 3 * states._MEMO_ENTRIES
+        assert all(not v.flags.writeable and v.nbytes == 8 * 2**2 for v in memo.values())
 
-    def test_sample_counts_hits_after_born_distribution(self, rng, monkeypatch):
+    def test_sample_counts_hits_after_born_distribution(self, rng, memo):
         rho, setting = random_density_matrix(4, rng), random_setting(4, rng)
-        contractions = []
-        monkeypatch.setattr(counts, "_setting_bras", lambda b: contractions.append(b) or _setting_bras(b))
         born_distribution(rho, setting)
         sample_counts(rho, setting, 1000, seed=1)
         exact_record(rho, setting)
-        assert contractions == [setting.bases]
+        assert [key[1] for key in memo] == [setting.bases]  # one contraction, of this setting
+        assert (memo.misses["_born"], memo.hits["_born"]) == (1, 2)
 
     def test_checks_run_on_a_hit(self):
         born_distribution(cluster4(), TomographicSetting("XXZZ"))
@@ -321,6 +321,32 @@ class TestWitnessFromCounts:
         merged_bound, _ = witness_from_counts([merged] + others, build_b2())
         assert split_bound == pytest.approx(merged_bound, abs=1e-12)
 
+    def test_shared_settings_past_int64_rejected(self):
+        setting = TomographicSetting("XXZZ")
+        others = [exact_record(cluster4(), TomographicSetting("ZZXX"))]
+        one = CountRecord(setting, [2**62] + [0] * 15)
+        with pytest.raises(ValueError, match="^setting XXZZ: counts must lie in 0..2\\*\\*63 - 1$"):
+            witness_from_counts([one, one] + others, build_b2())
+        spread = CountRecord(setting, [0, 2**62, 2**62 - 1] + [0] * 13)
+        with pytest.raises(ValueError, match="^setting XXZZ: total count exceeds 2\\*\\*63 - 1$"):
+            witness_from_counts([spread, one] + others, build_b2())
+
+
+class TestCountRecordRange:
+    """Counts are int64: a count or a total past 2**63 - 1 is a ValueError, never a wrap."""
+
+    def test_count_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="^setting Z: counts must lie in 0..2\\*\\*63 - 1$"):
+            CountRecord(TomographicSetting("Z"), [10**23, 0])
+
+    def test_total_past_int64_rejected(self):
+        with pytest.raises(ValueError, match="^setting ZX: total count exceeds 2\\*\\*63 - 1$"):
+            CountRecord(TomographicSetting("ZX"), [2**62, 2**62, 0, 0])
+
+    def test_total_at_int64_limit_kept(self):
+        record = CountRecord(TomographicSetting("Z"), [2**63 - 2, 1])
+        assert record.total == 2**63 - 1 and record.counts.dtype == np.int64
+
 
 class TestCsv:
     def test_round_trip(self):
@@ -361,6 +387,26 @@ class TestCsv:
         records = parse_counts(text)
         idx = outcome_index(TomographicSetting("XXZZ"), "++HH")
         assert records[0].counts[idx] == 150
+
+    @pytest.mark.parametrize(
+        "rows,line",
+        [
+            (["XXZZ,++HH,100000000000000000000000"], 2),
+            (["XXZZ,++HH,9223372036854775807", "XXZZ,++HH,1"], 3),
+            (["XXZZ,++HH,4611686018427387904", "XXZZ,--HH,4611686018427387904"], 3),
+            (["XXZZ,++HH,5", "ZZXX,HH++,9223372036854775807", "XXZZ,--HH,9223372036854775803"], 4),
+        ],
+    )
+    def test_total_past_int64_names_the_line(self, rows, line):
+        text = "\n".join(["setting,outcome,count", *rows]) + "\n"
+        with pytest.raises(ValueError, match=f"^line {line}: setting .*'s total count exceeds 2\\*\\*63 - 1$"):
+            parse_counts(text)
+
+    def test_total_at_int64_limit_is_kept(self):
+        text = "setting,outcome,count\nXXZZ,++HH,9223372036854775806\nXXZZ,--HH,1\n"
+        (record,) = parse_counts(text)
+        assert record.total == 2**63 - 1
+        assert record.counts.max() == 2**63 - 2
 
     def test_outcome_labels(self):
         setting = TomographicSetting("YXZY")

@@ -31,8 +31,15 @@ from clustersim.states import (
     measure,
     named_state,
 )
-from clustersim.states import _branch_table, _branches, _pauli_kernel
-from conftest import dense_pauli, ket, random_pure_state, sequential_branch, sequential_sample
+from clustersim.states import _branches, _pauli_kernel
+from conftest import (
+    bras_reassignment_check,
+    dense_pauli,
+    ket,
+    random_pure_state,
+    sequential_branch,
+    sequential_sample,
+)
 
 S2 = 1 / math.sqrt(2)
 H, V = [1, 0], [0, 1]
@@ -175,55 +182,54 @@ class TestBranchEngine:
             execute_density(pattern, cluster4().to_density(), branch)
 
 
-def _misses_and_hits():
-    info = _branch_table.cache_info()
-    return info.misses, info.hits
+def _misses_and_hits(memo):
+    return memo.misses["_branches"], memo.hits["_branches"]
 
 
 class TestBranchCache:
-    """`_branches` is memoised by content: one contraction per (pattern,
-    resource), shared by derivation, execution and the reassignment check."""
+    """`_branches` is memoised by content in `states._memoised`: one contraction
+    per (pattern, resource), shared by derivation, execution and the
+    reassignment check."""
 
-    def test_branch_table_costs_one_pure_and_one_mixed_contraction(self):
+    def test_branch_table_costs_one_pure_and_one_mixed_contraction(self, memo):
         pattern = single_rotation_pattern(GateInstruction(PI / 2, -PI / 2))
         resource, m = cluster4(), len(pattern.steps)
         rho = apply_noise(resource, NoiseSpec("dephase", 0.05, (1, 2)))
         branches = [format(i, f"0{m}b") for i in range(2**m)]
-        _branch_table.cache_clear()
         for branch in branches:
             execute(pattern, resource, branch=branch)
-        assert _misses_and_hits() == (1, 2**m - 1)
+        assert _misses_and_hits(memo) == (1, 2**m - 1)
         for branch in branches:
             execute_density(pattern, rho, branch)
-        assert _misses_and_hits() == (1 + 1, 2 * 2**m - 2)
+        assert _misses_and_hits(memo) == (1 + 1, 2 * 2**m - 2)
 
-    def test_content_equal_resources_share_an_entry(self):
+    def test_content_equal_resources_share_an_entry(self, memo):
         two_qubit_pattern.cache_clear()  # so that the next call derives, whatever ran before
-        _branch_table.cache_clear()
         pattern = two_qubit_pattern(GateInstruction(0, PI / 2))  # derives on a fresh cluster4()
         execute(pattern, cluster4(), branch="01")
         execute(pattern, cluster4(), seed=3)
         assert basis_reassignment_check(pattern, cluster4())
-        assert _misses_and_hits() == (1, 3)
+        assert _misses_and_hits(memo) == (1, 3)
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.86)), "00")
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.86)), "11")
-        assert _misses_and_hits() == (2, 4)
+        assert _misses_and_hits(memo) == (2, 4)
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.85)), "00")
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("dephase", 0.14, (1,))), "00")
-        assert _misses_and_hits() == (4, 4)
+        assert _misses_and_hits(memo) == (4, 4)
+        assert set(memo.misses) == {"_branches"}
 
-    def test_cached_arrays_are_read_only_and_recompute_bit_for_bit(self):
+    def test_cached_arrays_are_read_only_and_recompute_bit_for_bit(self, memo):
         pattern = single_rotation_pattern(GateInstruction(PI / 2, 0))
         rho = apply_noise(cluster4(), NoiseSpec("white", 0.7))
         for tensor in (cluster4().amplitudes, rho.entries):
-            _branch_table.cache_clear()
+            memo.clear()
             states, probs, conds = _branches(pattern.steps, 4, tensor)
             assert _branches(pattern.steps, 4, tensor)[0] is states
             for a in (states, probs, *conds):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a.flat[0] = 0.0
-            _branch_table.cache_clear()
+            memo.clear()
             fresh = _branches(pattern.steps, 4, tensor)
             assert fresh[0] is not states
             for a, b in zip((states, probs, *conds), (fresh[0], fresh[1], *fresh[2])):
@@ -511,6 +517,76 @@ class TestBasisReassignment:
                 pattern.resource_size, pattern.steps, pattern.output_qubits, corrupted, pattern.target
             )
             assert not basis_reassignment_check(bad, cluster4())
+
+
+# both builders on the paper's angle grid {0, pi/2, pi, -pi/2}^2; the 14 table patterns among them
+GRID_INSTRUCTIONS = [GateInstruction(a, b) for a in (0, PI / 2, PI, -PI / 2) for b in (0, PI / 2, PI, -PI / 2)]
+
+
+def _corrupt(pattern, branch, word):
+    corrections = {**pattern.corrections, branch: word}
+    return MeasurementPattern(pattern.resource_size, pattern.steps, pattern.output_qubits, corrections, pattern.target)
+
+
+class TestReassignmentOracle:
+    """The Pauli-expectation check agrees with the Born-probability check
+    over all 3^k Pauli settings (`conftest.bras_reassignment_check`)."""
+
+    @pytest.mark.parametrize("build", [two_qubit_pattern, single_rotation_pattern])
+    @pytest.mark.parametrize("instr", GRID_INSTRUCTIONS)
+    def test_grid_patterns_agree_and_pass(self, build, instr):
+        pattern = build(instr)
+        assert basis_reassignment_check(pattern, cluster4())
+        assert bras_reassignment_check(pattern, cluster4())
+
+    def test_random_patterns_and_resources_agree(self, rng):
+        verdicts = []
+        for _ in range(12):
+            # any angles realize the two-qubit gate; the rotation pattern needs grid angles
+            instr = GateInstruction(*rng.uniform(-PI, PI, size=2))
+            grid = GRID_INSTRUCTIONS[rng.integers(len(GRID_INSTRUCTIONS))]
+            for pattern in (two_qubit_pattern(instr), single_rotation_pattern(grid)):
+                k, branches = len(pattern.output_qubits), list(pattern.corrections)
+                word = "".join(rng.choice(list("IXYZ"), size=k))
+                untargeted = MeasurementPattern(4, pattern.steps, pattern.output_qubits, pattern.corrections)
+                cases = [pattern, untargeted, _corrupt(pattern, branches[rng.integers(len(branches))], word)]
+                for case in cases:
+                    for resource in (cluster4(), random_pure_state(4, rng)):
+                        verdict = basis_reassignment_check(case, resource)
+                        assert verdict == bras_reassignment_check(case, resource)
+                        verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_resource_size_checked_with_or_without_target(self):
+        pattern = two_qubit_pattern(GateInstruction(0, 0))
+        untargeted = MeasurementPattern(4, pattern.steps, pattern.output_qubits, pattern.corrections)
+        for case in (pattern, untargeted):
+            with pytest.raises(ValueError, match="resource size does not match pattern"):
+                basis_reassignment_check(case, PureState.from_amplitudes(np.ones(32)))
+
+    def test_zero_probability_branch_rejected_by_both(self):
+        product = PureState.from_amplitudes(ket(H, H, H, H))
+        pattern = MeasurementPattern(4, [(1, LocalBasis.z())], (2, 3, 4), {"0": "III", "1": "III"})
+        for check in (basis_reassignment_check, bras_reassignment_check):
+            with pytest.raises(ValueError):
+                check(pattern, product)
+
+    def test_every_swapped_word_judged_by_its_output(self):
+        """A swapped correction passes both checks exactly when the branch
+        still ends on the target, i.e. the two words differ by a stabilizer
+        of the target up to phase; otherwise both reject it."""
+        rejected = 0
+        for build in (two_qubit_pattern, single_rotation_pattern):
+            pattern = build(GateInstruction(PI / 2, -PI / 2))
+            k = len(pattern.output_qubits)
+            for branch in pattern.corrections:
+                for word in ("".join(w) for w in itertools.product("IXYZ", repeat=k)):
+                    swapped = _corrupt(pattern, branch, word)
+                    lands = fidelity(execute(swapped, cluster4(), branch=branch)[0], pattern.target) > 1 - 1e-9
+                    assert basis_reassignment_check(swapped, cluster4()) == lands
+                    assert bras_reassignment_check(swapped, cluster4()) == lands
+                    rejected += not lands
+        assert rejected == 4 * 12 + 8 * 2  # 12 of 16 words per two-qubit branch, 2 of 4 per single-qubit one
 
 
 class TestPatternValidation:

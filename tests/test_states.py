@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustersim.counts import born_distribution
 from clustersim.states import (
     CZ,
     RX,
@@ -21,6 +22,8 @@ from clustersim.states import (
     pauli_expectation,
     schmidt_coefficients,
 )
+from clustersim.states import _branches
+from clustersim.witness import TomographicSetting
 from conftest import (
     amplitude,
     basis_index,
@@ -31,6 +34,7 @@ from conftest import (
     random_density_matrix,
     random_pure_state,
     tensordot_measure,
+    whole_born,
     whole_hermitian_gap,
 )
 
@@ -376,6 +380,53 @@ class TestValidation:
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityMatrix(7, mat)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: PureState(1, [math.nan, 1]),
+            lambda: PureState.from_amplitudes([math.nan, 1]),
+            lambda: DensityMatrix(1, [[math.nan, 0], [0, 1]]),
+            lambda: DensityMatrix(1, [[0.5, math.nan], [math.nan, 0.5]]),
+        ],
+        ids=["pure", "from_amplitudes", "density-diagonal", "density-off-diagonal"],
+    )
+    def test_nan_entries_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
     def test_basis_index(self):
         assert basis_index("HHVV") == 3
         assert basis_index("VVHH") == 12
+
+
+class TestMemo:
+    """Branch tables and Born vectors share one content-keyed memo, `states._memoised`."""
+
+    def test_born_vector_and_branch_table_are_separate_entries(self, rng, memo):
+        rho = random_density_matrix(3, rng)
+        steps = tuple((q, LocalBasis("XYZ"[q - 1])) for q in (1, 2, 3))
+        probs = born_distribution(rho, TomographicSetting("XYZ"))
+        table = _branches(steps, 3, rho.entries)
+        assert len(memo) == 2 and memo.misses == {"_born": 1, "_branches": 1} and not memo.hits
+        assert sorted(key[0] for key in memo) == ["_born", "_branches"]
+        assert np.allclose(table[1], probs, atol=1e-15)
+        assert np.array_equal(probs, whole_born(rho, "XYZ"))
+        assert born_distribution(rho, TomographicSetting("XYZ")).tobytes() == probs.tobytes()
+        assert _branches(steps, 3, rho.entries) is table
+        assert memo.hits == {"_born": 1, "_branches": 1}
+
+    def test_no_key_holds_a_copy_of_the_state(self, rng, memo):
+        pure, rho = random_pure_state(5, rng), random_density_matrix(3, rng)
+        for state, tensor in ((pure, pure.amplitudes), (rho, rho.entries)):
+            n = state.n_qubits
+            born_distribution(state, TomographicSetting("Z" * n))
+            _branches(((1, LocalBasis.x()),), n, tensor)
+        assert len(memo) == 4
+
+        def leaves(x):
+            return [leaf for item in x for leaf in leaves(item)] if isinstance(x, tuple) else [x]
+
+        for key in memo:
+            for leaf in leaves(key):
+                assert not isinstance(leaf, (np.ndarray, memoryview, bytearray))
+                assert not isinstance(leaf, bytes) or len(leaf) == 32  # a SHA-256 digest, not the state
