@@ -2,7 +2,8 @@
 
 Sampling the Born distribution of a noisy cluster state per tomographic
 setting gives count records like the experiment's; the witness bound and
-its Poissonian error bar are then recovered from the counts alone.
+its error bar, one multinomial variance per record, covariance included,
+are then recovered from the counts alone.
 """
 
 import numpy as np

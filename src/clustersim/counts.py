@@ -1,6 +1,6 @@
 """Coincidence-count records per tomographic setting: synthesis, ingestion,
-outcome probabilities, Pauli expectations, and witness bounds with
-Poissonian error bars.
+outcome probabilities, and Pauli expectations and witness bounds with
+one multinomial variance per record, covariance included.
 
 Outcome labels per local basis: Z -> H/V, X -> +/-, Y -> R/L, with the
 first label (bit 0) being the +1 eigenvector of the corresponding Pauli
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _ROW_BLOCK, DensityMatrix, LocalBasis, PureState, _memoised, _pauli_kernel
+from .states import _ROW_BLOCK, DensityMatrix, LocalBasis, PauliString, PureState, _memoised, _pauli_kernel
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
@@ -108,20 +108,25 @@ def _born(bases: str, tensor: np.ndarray) -> np.ndarray:
 def sample_counts(state, setting: TomographicSetting, total: int, seed: int) -> CountRecord:
     """Multinomial draw of `total` coincidence events from the Born
     distribution; deterministic given the seed."""
-    if total < 1:
-        raise ValueError("total must be at least 1")
-    if total > _MAX_COUNT:
-        raise ValueError(f"total {total} exceeds 2**63 - 1")
+    _check_total(total)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(total, born_distribution(state, setting))
     return CountRecord(setting, counts)
 
 
 def exact_record(state, setting: TomographicSetting, total: int = 10**9) -> CountRecord:
-    """Infinite-statistics stand-in: counts proportional to exact Born
-    probabilities (rounded)."""
+    """Infinite-statistics stand-in: exact Born probabilities times `total`,
+    rounded to Python ints, so that a count past 2**63 - 1 is a range error."""
+    _check_total(total)
     probs = born_distribution(state, setting)
-    return CountRecord(setting, np.rint(probs * total).astype(np.int64))
+    return CountRecord(setting, [int(c) for c in np.rint(probs * total).tolist()])
+
+
+def _check_total(total: int) -> None:
+    if total < 1:
+        raise ValueError("total must be at least 1")
+    if total > _MAX_COUNT:
+        raise ValueError(f"total {total} exceeds 2**63 - 1")
 
 
 class ZeroCountsError(ValueError):
@@ -136,57 +141,50 @@ def probabilities(rec: CountRecord) -> np.ndarray:
 
 
 def expectation_from_counts(rec: CountRecord, word) -> tuple[float, float]:
-    """Pauli expectation and its Poissonian standard error from counts.
-
-    The word must be obtained from the record's setting by replacing
-    letters with I; each outcome contributes the product of its +/-1
-    eigenvalues over the word's non-identity positions.
+    """Pauli expectation and its standard error from counts: `_estimate` of
+    one term. The word must be the record's setting with letters replaced by I.
     """
     word_str = getattr(word, "word", word)
     if not rec.setting.covers(word_str):
         raise ValueError(f"word {word_str!r} incompatible with setting {rec.setting.bases}")
-    if rec.total == 0:
-        raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
-    support = word_str.translate(str.maketrans("XY", "ZZ"))
-    signs = _pauli_kernel((support,), len(word_str))[1][0].real
-    total = rec.total
-    value = float(np.dot(signs, rec.counts)) / total
-    sigma = math.sqrt(float(np.dot(rec.counts, (signs - value) ** 2))) / total
-    return value, sigma
+    return _estimate([rec], ObservableSum((PauliString(word_str),)))
 
 
-def _aggregate(records: list[CountRecord]) -> list[CountRecord]:
-    """Sum records sharing a setting, keeping first-appearance order; the
+def witness_from_counts(records: list[CountRecord], b: ObservableSum) -> tuple[float, float]:
+    """Fidelity lower bound and its error from measured counts: `_estimate`
+    once records sharing a setting are summed, in first-appearance order. The
     sums are exact Python ints, so one past 2**63 - 1 is an error, not a wrap."""
     merged: dict[str, tuple] = {}
     for rec in records:
         setting, summed = merged.get(rec.setting.bases, (rec.setting, 0))
         merged[rec.setting.bases] = setting, summed + rec.counts.astype(object)
-    return [CountRecord(s, c) for s, c in merged.values()]
+    return _estimate([CountRecord(s, c) for s, c in merged.values()], b)
 
 
-def witness_from_counts(records: list[CountRecord], b: ObservableSum) -> tuple[float, float]:
-    """Fidelity lower bound and its error from measured counts.
-
-    Each term is evaluated against the first compatible record; the error
-    is the quadrature sum of the per-term propagated sigmas.
-    """
-    records = _aggregate(records)
-    bound = b.identity_offset
-    variance = 0.0
+def _estimate(records: list[CountRecord], b: ObservableSum) -> tuple[float, float]:
+    """Value and standard error of b's weighted Pauli words plus its offset.
+    Each term reads the first record whose setting covers it. A record's terms
+    fold into one score per outcome, sum(coefficient * sign on the support),
+    so their covariance is kept: the record adds the score's mean to the value
+    and its multinomial variance, sum(counts * (score - mean)**2) / N**2."""
+    read: dict[str, tuple[CountRecord, list]] = {}
     for term in b.terms:
-        for rec in records:
-            if rec.setting.covers(term.word):
-                value, sigma = expectation_from_counts(rec, term.word)
-                bound += term.coefficient * value
-                variance += (term.coefficient * sigma) ** 2
-                break
-        else:
+        rec = next((r for r in records if r.setting.covers(term.word)), None)
+        if rec is None:
             needed = [s.bases for s in required_settings(b)]
-            raise ValueError(
-                f"no record covers term {term.word!r}; settings needed: {needed}"
-            )
-    return bound, math.sqrt(variance)
+            raise ValueError(f"no record covers term {term.word!r}; settings needed: {needed}")
+        if rec.total == 0:
+            raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
+        read.setdefault(rec.setting.bases, (rec, []))[1].append(term)
+    value, variance = b.identity_offset, 0.0
+    for bases, (rec, terms) in read.items():
+        supports = tuple(t.word.translate(str.maketrans("XY", "ZZ")) for t in terms)
+        signs = _pauli_kernel(supports, len(bases))[1].real
+        score = np.array([t.coefficient for t in terms]) @ signs
+        mean = float(np.dot(score, rec.counts)) / rec.total
+        value += mean
+        variance += float(np.dot(rec.counts, (score - mean) ** 2)) / rec.total**2
+    return value, math.sqrt(variance)
 
 
 CSV_HEADER = ["setting", "outcome", "count"]

@@ -28,14 +28,12 @@ class RankSignature(NamedTuple):
     r14: int
 
 
-def rank_signature(state: PureState, tol: float = RANK_TOL) -> RankSignature:
-    """Schmidt ranks across the three two-two partitions of a 4-qubit state."""
+def rank_signature(state: PureState) -> RankSignature:
+    """Schmidt ranks above RANK_TOL across the three two-two partitions of a 4-qubit state."""
     if state.n_qubits != 4:
         raise ValueError("rank_signature requires a 4-qubit state")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     ranks = [
-        int(np.sum(schmidt_coefficients(state, part) > tol))
+        int(np.sum(schmidt_coefficients(state, part) > RANK_TOL))
         for part in PAIR_PARTITIONS.values()
     ]
     return RankSignature(*ranks)

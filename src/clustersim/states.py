@@ -68,7 +68,11 @@ class PureState:
         n = int(round(math.log2(amps.size)))
         if 2**n != amps.size:
             raise ValueError("amplitude length must be a power of two")
-        norm = np.linalg.norm(amps)
+        with np.errstate(over="ignore"):  # a norm past the float range is taken again below
+            norm = float(np.linalg.norm(amps))
+        if norm == math.inf and np.isfinite(amps).all():  # scale the largest part to 1
+            amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            norm = float(np.linalg.norm(amps))
         if not 1e-12 <= norm < math.inf:
             raise ValueError(f"cannot normalize a vector of norm {norm:.2e}")
         return cls(n, amps / norm)

@@ -292,3 +292,32 @@ def whole_born(state, bases: str) -> np.ndarray:
 def whole_hermitian_gap(mat: np.ndarray) -> float:
     """max |mat - mat^dagger| over the whole matrix at once."""
     return float(np.max(np.abs(mat - mat.conj().T)))
+
+
+# --- per-term oracle for the count estimator -----------------------------------
+
+
+def per_term_expectation(counts, word: str) -> tuple[float, float]:
+    """One Pauli word's value and plug-in multinomial sigma from one record's
+    counts, sign by sign over the outcomes with the word's support bit-counted
+    independently of the Pauli kernel."""
+    n = len(word)
+    mask = sum(1 << (n - 1 - q) for q, c in enumerate(word) if c != "I")
+    signs = np.array([(-1.0) ** bin(i & mask).count("1") for i in range(2**n)])
+    total = int(np.sum(counts))
+    value = float(np.dot(signs, counts)) / total
+    return value, math.sqrt(float(np.dot(counts, (signs - value) ** 2))) / total
+
+
+def per_term_bound(records, b: ObservableSum) -> tuple[float, float]:
+    """Witness value from counts term by term, each term read from the first
+    record whose setting covers it, and the per-term sigmas added in
+    quadrature: the value oracle, and a sigma that drops the covariance of
+    terms read from one record."""
+    bound, variance = b.identity_offset, 0.0
+    for term in b.terms:
+        rec = next(r for r in records if r.setting.covers(term.word))
+        value, sigma = per_term_expectation(rec.counts, term.word)
+        bound += term.coefficient * value
+        variance += (term.coefficient * sigma) ** 2
+    return bound, math.sqrt(variance)

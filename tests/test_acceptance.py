@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clustersim.classical_bound import classical_bound, margin_report
-from clustersim.counts import born_distribution, outcome_string, sample_counts
+from clustersim.counts import born_distribution, outcome_string, sample_counts, witness_from_counts
 from clustersim.entclass import fidelity_ceiling, rank_signature
 from clustersim.mbqc import (
     SINGLE_QUBIT_INSTRUCTIONS,
@@ -191,6 +191,16 @@ def test_criterion_10_property_suites(rng):
         values.append(v)
         sigmas.append(s)
     ok &= abs(np.std(values) - np.mean(sigmas)) / np.mean(sigmas) < 0.2
+    # ... and at 10% over 500 resamples for B2 and B4, whose terms share records
+    for b in (build_b2(), build_b4()):
+        settings = required_settings(b)
+        values, sigmas = [], []
+        for seed in range(500):
+            records = [sample_counts(rho, st, 2000, seed=10 * seed + i) for i, st in enumerate(settings)]
+            v, s = witness_from_counts(records, b)
+            values.append(v)
+            sigmas.append(s)
+        ok &= abs(np.std(values) - np.mean(sigmas)) / np.mean(sigmas) < 0.1
     # partition count
     ok &= sum(stirling2(8, k) for k in range(1, 5)) == 2795
-    report(10, "property suites (norm, Born, branches, sigma calibration, S(8,<=4)=2795)", ok)
+    report(10, "property suites (norm, Born, branches, term/B2/B4 sigma calibration, S(8,<=4)=2795)", ok)

@@ -20,15 +20,24 @@ from clustersim.counts import (
     witness_from_counts,
 )
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, LocalBasis, PureState, cluster4, measure, named_state
+from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState, cluster4, measure, named_state
 from clustersim.witness import (
+    ObservableSum,
     TomographicSetting,
     build_b2,
     build_b4,
     required_settings,
     witness_expectation,
 )
-from conftest import bitwise_equal, dense_pauli, random_density_matrix, random_pure_state, whole_born
+from conftest import (
+    bitwise_equal,
+    dense_pauli,
+    per_term_bound,
+    per_term_expectation,
+    random_density_matrix,
+    random_pure_state,
+    whole_born,
+)
 
 
 def random_setting(n: int, rng) -> TomographicSetting:
@@ -217,6 +226,31 @@ class TestSampling:
                 sample_counts(cluster4(), setting, total, seed=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestExactRecordTotal:
+    """exact_record rejects sample_counts' bad totals with its messages, and
+    rounds with no float cast past int64 (numpy warns on one: warnings are
+    errors here)."""
+
+    @pytest.mark.parametrize(
+        "total,message",
+        [(0, "^total must be at least 1$"), (2**63, "^total 9223372036854775808 exceeds 2\\*\\*63 - 1$"),
+         (10**20, "^total 100000000000000000000 exceeds 2\\*\\*63 - 1$")],
+    )
+    def test_total_outside_int64_named(self, total, message):
+        with pytest.raises(ValueError, match=message):
+            exact_record(cluster4(), TomographicSetting("XXZZ"), total)
+
+    def test_certain_outcome_at_int64_limit(self):
+        # rint(1.0 * (2**63 - 1)) is 2.0**63: CountRecord's range error, naming the setting
+        with pytest.raises(ValueError, match="^setting Z: counts must lie in 0..2\\*\\*63 - 1$"):
+            exact_record(PureState.from_amplitudes([1, 0]), TomographicSetting("Z"), total=2**63 - 1)
+
+    def test_large_total_kept(self):
+        record = exact_record(cluster4(), TomographicSetting("XXZZ"), total=2**62)
+        assert record.total == 2**62 and sorted(record.counts.tolist())[-4:] == [2**60] * 4
+
+
 class TestProbabilities:
     def test_ideal_xxzz_shape(self):
         rec = exact_record(cluster4(), TomographicSetting("XXZZ"))
@@ -262,7 +296,9 @@ class TestExpectationFromCounts:
             expectation_from_counts(rec, "YYZI")
 
     def test_sigma_calibration(self):
-        # empirical spread over resamples matches the propagated sigma
+        # empirical spread over resamples matches the reported sigma: one term
+        # over 200 resamples, then B2 and B4, whose terms read from one record
+        # are correlated, over 500 (the spread of a 500-sample std is ~3%)
         rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
         setting = TomographicSetting("XXZZ")
         values, sigmas = [], []
@@ -274,6 +310,63 @@ class TestExpectationFromCounts:
         empirical = float(np.std(values))
         reported = float(np.mean(sigmas))
         assert abs(empirical - reported) / reported < 0.2
+        for b in (build_b2(), build_b4()):
+            settings = required_settings(b)
+            values, sigmas = [], []
+            for seed in range(500):
+                records = [sample_counts(rho, st, 2000, seed=10 * seed + i) for i, st in enumerate(settings)]
+                v, s = witness_from_counts(records, b)
+                values.append(v)
+                sigmas.append(s)
+            empirical = float(np.std(values))
+            reported = float(np.mean(sigmas))
+            assert abs(empirical - reported) / reported < 0.1, (len(settings), empirical, reported)
+
+
+class TestPerTermOracle:
+    """The one estimator against the term-by-term one (conftest): the same
+    values, the same sigma for one term, and for a sum of terms the sigma of
+    the multinomial covariance of the terms' signs."""
+
+    SETTINGS = ("XXZZ", "ZZXX", "YYZZ", "ZZYY")
+
+    def random_records(self, rng):
+        return [CountRecord(TomographicSetting(s), rng.integers(0, 1000, 16)) for s in self.SETTINGS]
+
+    def test_witness_values_match(self, rng):
+        for _ in range(50):
+            records = self.random_records(rng)
+            for b in (build_b2(), build_b4()):
+                assert witness_from_counts(records, b)[0] == pytest.approx(per_term_bound(records, b)[0], abs=1e-12)
+
+    def test_single_word_value_and_sigma_unchanged(self, rng):
+        for _ in range(50):
+            rec = self.random_records(rng)[int(rng.integers(4))]
+            word = "".join(c if keep else "I" for c, keep in zip(rec.setting.bases, rng.integers(0, 2, 4)))
+            got = expectation_from_counts(rec, word)
+            assert got == pytest.approx(per_term_expectation(rec.counts, word), abs=1e-12)
+            one_term = ObservableSum((PauliString(word),))
+            assert witness_from_counts([rec], one_term) == pytest.approx(got, abs=1e-12)
+
+    def test_sigma_is_the_covariance_form(self, rng):
+        # variance = sum over records of c^T C c / N for the terms that read
+        # the record, C[a, b] = E[s_a s_b] - E[s_a] E[s_b] over its outcomes
+        for _ in range(20):
+            records = self.random_records(rng)
+            for b in (build_b2(), build_b4()):
+                reader = {t: next(r for r in records if r.setting.covers(t.word)) for t in b.terms}
+                variance = 0.0
+                for rec in records:
+                    terms = [t for t in b.terms if reader[t] is rec]
+                    if not terms:
+                        continue
+                    supports = [t.word.translate(str.maketrans("XY", "ZZ")) for t in terms]
+                    signs = np.array([dense_pauli(w).diagonal().real for w in supports])
+                    c = np.array([t.coefficient for t in terms])
+                    p = rec.counts / rec.total
+                    cov = (signs * p) @ signs.T - np.outer(signs @ p, signs @ p)
+                    variance += c @ cov @ c / rec.total
+                assert witness_from_counts(records, b)[1] == pytest.approx(math.sqrt(variance), rel=1e-9)
 
 
 class TestWitnessFromCounts:
@@ -310,6 +403,13 @@ class TestWitnessFromCounts:
         records = [exact_record(cluster4(), TomographicSetting("XXZZ"))]
         with pytest.raises(ValueError):
             witness_from_counts(records, build_b4())
+
+    def test_zero_counts_only_in_a_record_read(self):
+        records = [exact_record(cluster4(), s) for s in required_settings(build_b2())]
+        unread = CountRecord(TomographicSetting("YYZZ"), np.zeros(16, dtype=int))
+        assert witness_from_counts(records + [unread], build_b2()) == witness_from_counts(records, build_b2())
+        with pytest.raises(ZeroCountsError, match="setting YYZZ has zero total counts"):
+            witness_from_counts(records[:1] + [unread] + records[1:], build_b4())
 
     def test_shared_settings_aggregated(self):
         setting = TomographicSetting("XXZZ")

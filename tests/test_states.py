@@ -27,6 +27,7 @@ from clustersim.witness import TomographicSetting
 from conftest import (
     amplitude,
     basis_index,
+    bitwise_equal,
     dense_pauli,
     ket,
     pure_state_from_json,
@@ -385,14 +386,32 @@ class TestValidation:
         [
             lambda: PureState(1, [math.nan, 1]),
             lambda: PureState.from_amplitudes([math.nan, 1]),
+            lambda: PureState.from_amplitudes([1e200, math.nan]),
+            lambda: PureState.from_amplitudes([1e200, math.inf]),
             lambda: DensityMatrix(1, [[math.nan, 0], [0, 1]]),
             lambda: DensityMatrix(1, [[0.5, math.nan], [math.nan, 0.5]]),
         ],
-        ids=["pure", "from_amplitudes", "density-diagonal", "density-off-diagonal"],
+        ids=[
+            "pure", "from_amplitudes", "from_amplitudes-overflow-nan", "from_amplitudes-overflow-inf",
+            "density-diagonal", "density-off-diagonal",
+        ],
     )
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nan_entries_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("amps", [[1e200, 1e200], [1e200, 1e200j], [1.7e308, 1.7e308j]])
+    def test_from_amplitudes_rescales_an_overflowing_norm(self, amps):
+        expected = np.array(amps) / abs(amps[0])
+        state = PureState.from_amplitudes(amps)
+        assert np.allclose(state.amplitudes, expected / np.linalg.norm(expected), rtol=0, atol=1e-15)
+
+    def test_from_amplitudes_finite_norm_divides_by_the_plain_norm(self, rng):
+        for scale in (1e-5, 1.0, 1e150):
+            amps = scale * (rng.normal(size=16) + 1j * rng.normal(size=16))
+            assert bitwise_equal(PureState.from_amplitudes(amps).amplitudes, amps / np.linalg.norm(amps))
 
     def test_basis_index(self):
         assert basis_index("HHVV") == 3
