@@ -108,7 +108,9 @@ def _bounds_from_counts(path: str) -> dict:
 
 
 def _cmd_witness(args) -> dict:
-    if args.counts:
+    if args.counts is not None and args.noise is not None:
+        raise UsageError("--noise applies to the simulated state and cannot be combined with --counts")
+    if args.counts is not None:
         return {"command": "witness", "source": "counts", **_bounds_from_counts(args.counts)}
     b2, b4 = build_b2(), build_b4()
     state = _resource_state(args.noise)

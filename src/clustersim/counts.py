@@ -6,9 +6,10 @@ Outcome labels per local basis: Z -> H/V, X -> +/-, Y -> R/L, with the
 first label (bit 0) being the +1 eigenvector of the corresponding Pauli
 operator. Outcomes are indexed with qubit 1 as the most significant bit.
 
-Each Born vector is computed once per (state, setting), in the memo that
-branch tables share (`states._memoised`). Counts are int64; a count or a
-setting's total past 2**63 - 1 is an error, not a wrap.
+A Born vector is the probs of the all-qubit branch table of its setting
+(`states._branches`), so it is computed once per (state, setting) and is one
+memo entry with that table. Counts are int64; a count or a setting's total
+past 2**63 - 1 is an error, not a wrap.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .states import _ROW_BLOCK, DensityMatrix, LocalBasis, PauliString, PureState, _memoised, _pauli_kernel
+from .states import DensityMatrix, LocalBasis, PauliString, PureState, _branches, _pauli_kernel
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
@@ -33,6 +34,7 @@ class CountRecord:
 
     setting: TomographicSetting
     counts: np.ndarray
+    total: int = field(init=False)  # the sum of the counts, a Python int
 
     def __post_init__(self):
         try:
@@ -43,14 +45,12 @@ class CountRecord:
             raise ValueError("counts length must be 2^n for the setting")
         if np.any(counts < 0):
             raise ValueError("counts must be nonnegative")
-        if sum(counts.tolist()) > _MAX_COUNT:  # Python ints: an int64 sum would wrap
+        total = sum(counts.tolist())  # Python ints: an int64 sum would wrap
+        if total > _MAX_COUNT:
             raise ValueError(f"setting {self.setting.bases}: total count exceeds 2**63 - 1")
         counts.flags.writeable = False
         object.__setattr__(self, "counts", counts)
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
+        object.__setattr__(self, "total", total)
 
 
 def outcome_string(setting: TomographicSetting, index: int) -> str:
@@ -76,33 +76,16 @@ def outcome_index(setting: TomographicSetting, label: str) -> int:
 
 def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
     """Exact outcome probabilities for measuring every qubit in its setting
-    basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector), memoised."""
+    basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector): the probs
+    of the memoised all-qubit branch table, `states._branches`."""
     if not isinstance(state, (PureState, DensityMatrix)):
         raise TypeError(f"unsupported state type {type(state)}")
     n = state.n_qubits
     if len(setting.bases) != n:
         raise ValueError(f"setting {setting.bases!r} does not match a register of {n} qubits")
     tensor = state.amplitudes if isinstance(state, PureState) else state.entries
-    return _born(setting.bases, tensor).copy()
-
-
-@_memoised
-def _born(bases: str, tensor: np.ndarray) -> np.ndarray:
-    """Bras u (2^n, 2^n), row = outcome index: the Kronecker product of the
-    letters' conj(LocalBasis(b).vectors()) by broadcasting, as np.kron's values."""
-    u = np.ones((1, 1), dtype=complex)
-    for b in bases:
-        rows = np.conj(LocalBasis(b).vectors())
-        u = (u[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(u), -1)
-    if tensor.ndim == 1:
-        probs = np.abs(u @ tensor) ** 2
-    else:  # over row blocks of u, bit-identical to one einsum without a whole u.conj()
-        blocks = (u[i : i + _ROW_BLOCK] for i in range(0, len(u), _ROW_BLOCK))
-        probs = np.concatenate([np.real(np.einsum("ij,jk,ik->i", b, tensor, b.conj())) for b in blocks])
-    probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    probs.flags.writeable = False
-    return probs
+    steps = tuple((q, LocalBasis(b)) for q, b in enumerate(setting.bases, 1))
+    return _branches(steps, n, tensor)[1].copy()
 
 
 def sample_counts(state, setting: TomographicSetting, total: int, seed: int) -> CountRecord:
@@ -133,10 +116,14 @@ class ZeroCountsError(ValueError):
     """A record that an estimate needs has zero total counts."""
 
 
-def probabilities(rec: CountRecord) -> np.ndarray:
-    """Counts normalized by the total number of events."""
+def _check_counted(rec: CountRecord) -> None:
     if rec.total == 0:
         raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
+
+
+def probabilities(rec: CountRecord) -> np.ndarray:
+    """Counts normalized by the total number of events."""
+    _check_counted(rec)
     return rec.counts / rec.total
 
 
@@ -173,8 +160,7 @@ def _estimate(records: list[CountRecord], b: ObservableSum) -> tuple[float, floa
         if rec is None:
             needed = [s.bases for s in required_settings(b)]
             raise ValueError(f"no record covers term {term.word!r}; settings needed: {needed}")
-        if rec.total == 0:
-            raise ZeroCountsError(f"setting {rec.setting.bases} has zero total counts")
+        _check_counted(rec)
         read.setdefault(rec.setting.bases, (rec, []))[1].append(term)
     value, variance = b.identity_offset, 0.0
     for bases, (rec, terms) in read.items():

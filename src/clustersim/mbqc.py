@@ -4,14 +4,16 @@ A pattern is an ordered list of single-qubit measurements plus a read-only
 table of outcome-conditioned Pauli corrections on the output qubits, held in
 the binary (flip, phase) form of `states._pauli_kernel` and applied as a
 gather. It depends only on its angles, so both builders are memoised per
-instruction (32 each). The measurements run on `states`' one batched
-contraction (`_branches`), which `measure` uses too: it gives every outcome
-branch at once to feedforward derivation, pure and noisy execution and the
-reassignment check, and is memoised by content (`states._memoised`), so a
-pattern's branches are contracted once per resource. Each branch's
-correction is the first Pauli word, in I < X < Y < Z order, that maps it onto
-the circuit-model target state. Output states are valid by construction and
-skip the public constructors' checks (see `states`).
+instruction (32 each). The measurements run on `states`' one contraction
+for local measurements (`_branches`), which `measure` and Born vectors use
+too: it gives every outcome branch at once to feedforward derivation, pure
+and noisy execution and the reassignment check, and is memoised by content
+(`states._memoised`), so a pattern's branches are contracted once per
+resource. A branch less likely than `states._IMPOSSIBLE` is never taken or
+corrected. Each branch's correction is the first Pauli word, in I < X < Y < Z
+order, that maps it onto the circuit-model target state. Output states are
+valid by construction and skip the public constructors' checks (see
+`states`).
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .states import (
     DensityMatrix,
     LocalBasis,
     PureState,
+    _IMPOSSIBLE,
     _branch,
     _branches,
     _pauli_kernel,
@@ -96,11 +99,11 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     branches in one batched product. Raises if some branch is impossible or
     not Pauli-equivalent to the target (wrong pattern or resource)."""
     n_out, steps = len(output_qubits), tuple((q, b) for q, b in steps)
-    states, probs, _ = _branches(steps, resource.n_qubits, resource.amplitudes)
+    states, probs = _branches(steps, resource.n_qubits, resource.amplitudes)
     words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))
     flip, phase = _pauli_kernel(words, n_out)
     overlaps = (target.amplitudes.conj()[flip] * phase) @ states.T  # <target|P_w, row w
-    hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs > 0)
+    hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs >= _IMPOSSIBLE)
     branches = ["".join(b) for b in itertools.product("01", repeat=len(steps))]
     if not hits.any(axis=0).all():
         raise ValueError(
@@ -180,8 +183,8 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     n_out = len(pattern.output_qubits)
     if resource.n_qubits != pattern.resource_size:
         raise ValueError("resource size does not match pattern")
-    states, probs, _ = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
-    if not probs.all():
+    states, probs = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
+    if (probs < _IMPOSSIBLE).any():
         raise ValueError("a branch of the pattern has probability ~0")
     flip, phase = pattern._ops
     corrected = (phase * states)[np.arange(len(flip))[:, None], flip]  # row b is P_b psi_b

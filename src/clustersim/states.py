@@ -11,12 +11,16 @@ Conventions used throughout the package:
     |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
   * All state comparisons are fidelity-based; global phase is never fixed.
 
-Local measurements have one contraction, `_branches`: it gives every outcome
-branch of a list of single-qubit measurements on a pure or density state at
-once, and `_branch` picks one branch from it. `measure` is its one-step call
-and `mbqc` runs whole patterns on it. Branch tables and Born vectors share
-one memo, `_memoised`: 16 read-only results, LRU, keyed by a digest of the
-state read in place, so at most 256·4^n bytes and no copy of a state.
+Local measurements have one contraction, `_branches`: every outcome branch
+of a list of single-qubit measurements on a pure or density state at once,
+from the Kronecker bras of the steps. Every qubit measured in label order
+gives the Born vector (`counts.born_distribution`); `_branch` picks one
+branch, `measure` is its one-step call and `mbqc` runs whole patterns on it.
+A branch less likely than _IMPOSSIBLE is impossible where a branch is used
+(`_branch`, `mbqc`); the table, and so every Born vector, keeps it. Results
+live in one memo, `_memoised`: 16 read-only (states, probs) entries, LRU,
+keyed by the steps and a digest of the state read in place, so at most
+256·4^n bytes (a Born entry is 24·2^n) and no copy of a state.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
@@ -38,6 +42,7 @@ import numpy as np
 NORM_ATOL = 1e-10
 PSD_ATOL = 1e-8
 _ROW_BLOCK = 64  # rows per block where a whole 4^n temporary would be 16 MiB at n = 10
+_IMPOSSIBLE = 1e-12  # a branch less likely than this is never taken
 
 
 @dataclass(frozen=True)
@@ -220,48 +225,51 @@ def _memoised(compute):
 def _branches(steps: tuple, n: int, tensor: np.ndarray):
     """Every outcome branch of the measurements, a tuple of (qubit, LocalBasis)
     pairs, on amplitudes (2^n,) or a density matrix (2^n, 2^n). Returns
-    read-only (states, probs, conds): per branch b (first step most
-    significant), its state on the other qubits in label order and its
-    probability (0 if a step's conditional probability is below 1e-12); per
-    step k, the conditional probability of the last bit of each (k + 1)-bit
-    prefix. The measured axes go first, in step order; step k contracts axis
-    k of every branch so far with conj([v0, v1]) (a density matrix's bra axis
-    with its conjugate) and normalises."""
-    mixed = tensor.ndim == 2
-    measured = [q - 1 for q, _ in steps]
-    order = measured + [a for a in range(n) if a not in measured]
-    t = tensor.reshape((2,) * n * tensor.ndim)
-    t = t.transpose(order + [n + a for a in order] * mixed).reshape((1,) + tensor.shape)
-    probs, conds = np.ones(1), []
+    read-only (states, probs): per branch b (first step most significant),
+    its state on the other qubits in label order, divided by its own raw
+    norm, and its probability, clipped at 0 and normalised to sum 1. The
+    bras u are the Kronecker product of the steps' conj(LocalBasis.vectors())
+    by broadcasting, as np.kron's values; with the measured axes first, in
+    step order, u applies as one matmul (pure) or one einsum per 64-row block
+    of u (density). Every qubit in label order gives the Born vector."""
+    u = np.ones((1, 1), dtype=complex)
     for _, basis in steps:
-        bra, rows, d = np.conj(basis.vectors()), len(t), t.shape[1] // 2
-        t = (bra @ t.reshape(rows, 2, -1)).reshape((2 * rows, d) + t.shape[2:])
-        if mixed:
-            t = np.einsum("absjt,bj->abst", t.reshape(rows, 2, d, 2, d), bra.conj())
-            t = t.reshape(2 * rows, d, d)
-            p = np.trace(t, axis1=1, axis2=2).real
-        else:
-            p = np.linalg.norm(t, axis=1) ** 2
-        norm = np.where(p > 0, p if mixed else np.sqrt(p), 1.0)
-        t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
-        conds.append(p)
-        probs = (probs[:, None] * np.where(p < 1e-12, 0.0, p).reshape(rows, 2)).reshape(-1)
-    for a in (t, probs, *conds):
-        a.flags.writeable = False
-    return t, probs, tuple(conds)
+        rows = np.conj(basis.vectors())
+        u = (u[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(u), -1)
+    mixed, measured = tensor.ndim == 2, [q - 1 for q, _ in steps]
+    order = measured + [a for a in range(n) if a not in measured]
+    t = tensor.reshape((2,) * n * tensor.ndim).transpose(order + [n + a for a in order] * mixed)
+    if mixed:  # over row blocks of u, without a whole u.conj()
+        d = 2 ** (n - len(steps))
+        t = t.reshape(len(u), d, len(u), d)
+        blocks = (u[i : i + _ROW_BLOCK] for i in range(0, len(u), _ROW_BLOCK))
+        t = np.concatenate([np.einsum("ij,jkml,im->ikl", b, t, b.conj()) for b in blocks])
+        probs = np.trace(t, axis1=1, axis2=2).real
+    else:
+        t = u @ t.reshape(len(u), -1)
+        probs = (abs(t) ** 2).sum(1)
+    norm = np.where(probs > 0, probs if mixed else np.sqrt(probs), 1.0)
+    t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
+    probs = np.clip(probs, 0.0, None)
+    probs = probs / probs.sum()
+    t.flags.writeable = probs.flags.writeable = False
+    return t, probs
 
 
 def _branch(steps, state, bits=None, seed=None):
     """One branch of the measurements `steps` on a pure or density state:
     (bitstring, read-only normalised state on the other qubits, probability).
-    Without `bits`, each bit is drawn in step order from its conditional
-    probability, one `rng.random()` per step."""
+    Without `bits`, bit k is drawn in step order with one `rng.random()` r as
+    r (p0 + p1) >= p0, p0 and p1 the probabilities of its two continuations.
+    A branch less likely than _IMPOSSIBLE is an error."""
     tensor = state.entries if isinstance(state, DensityMatrix) else state.amplitudes
-    states, probs, conds = _branches(steps, state.n_qubits, tensor)
+    states, probs = _branches(steps, state.n_qubits, tensor)
     if bits is None:
         rng, bits = np.random.default_rng(seed), ""
-        for p in conds:
-            bits += "01"[int(rng.random() >= p[2 * int("0" + bits, 2)])]
+        for k in range(1, len(steps) + 1):
+            i = 2 * int("0" + bits, 2)
+            p0, p1 = probs.reshape(2**k, -1)[i : i + 2].sum(1)
+            bits += "01"[int(rng.random() * (p0 + p1) >= p0)]
     else:
         bits = "".join(str(int(b)) for b in bits)
         if set(bits) - set("01"):
@@ -269,7 +277,7 @@ def _branch(steps, state, bits=None, seed=None):
         if len(bits) != len(steps):
             raise ValueError(f"{len(steps)} outcome bits expected, got {bits!r}")
     index = int("0" + bits, 2)
-    if probs[index] == 0.0:
+    if probs[index] < _IMPOSSIBLE:
         raise ValueError(f"branch {bits} has probability ~0")
     return bits, states[index], float(probs[index])
 

@@ -97,7 +97,7 @@ def rng():
 
 class MemoSpy(OrderedDict):
     """An empty stand-in for `states._MEMO` that counts, per memoised function
-    ("_branches" or "_born"), the lookups that hit and those that missed."""
+    (key[0]), the lookups that hit and those that missed."""
 
     def __init__(self):
         super().__init__()

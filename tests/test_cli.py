@@ -60,6 +60,21 @@ class TestWitnessCommand:
     def test_bad_noise_is_usage_error(self, capsys):
         assert run(["witness", "--noise", "purple:1"]) == 1
 
+    def test_empty_counts_path_is_data_error(self, capsys):
+        assert run(["witness", "--counts", ""]) == 2
+        assert capsys.readouterr().err.startswith("data error: cannot read ")
+
+    def test_noise_with_counts_process_exit(self, tmp_path):
+        csv_path = tmp_path / "counts.csv"
+        assert run(["sample", "--shots", "100", "--out", str(csv_path)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "clustersim.cli"]
+        argv += ["witness", "--counts", str(csv_path), "--noise", "white:0.5"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("usage error: --noise") and "--counts" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
 
 class TestSchmidtCommand:
     def test_signatures(self, capsys):

@@ -20,7 +20,17 @@ from clustersim.counts import (
     witness_from_counts,
 )
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState, cluster4, measure, named_state
+from clustersim.states import (
+    CZ,
+    DensityMatrix,
+    LocalBasis,
+    PauliString,
+    PureState,
+    apply_gate,
+    cluster4,
+    measure,
+    named_state,
+)
 from clustersim.witness import (
     ObservableSum,
     TomographicSetting,
@@ -103,19 +113,30 @@ class TestBornDistribution:
             setting = random_setting(n, rng)
             assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
 
+    def test_entries_below_the_branch_threshold_keep_their_bits(self):
+        """The 1e-12 floor on a usable branch does not reach Born vectors: a
+        linear cluster's rounding-level entries stay as whole_born has them."""
+        state = PureState.from_amplitudes(np.ones(2**8))
+        for q in range(1, 8):
+            state = apply_gate(state, CZ, [q, q + 1])
+        probs = born_distribution(state, TomographicSetting("XZXZXZXZ"))
+        assert ((probs > 0) & (probs < 1e-12)).sum() == 48
+        assert bitwise_equal(probs, whole_born(state, "XZXZXZXZ"))
+
 
 class TestBornMemo:
-    """born_distribution, sample_counts and exact_record share one
-    content-keyed memo, the one `states._memoised` keeps for branch tables too."""
+    """born_distribution, sample_counts and exact_record read the all-qubit
+    branch table of the setting, `states._branches`, through its content-keyed
+    memo."""
 
     def test_hit_equals_fresh_computation(self, rng, memo):
         rho, setting = random_density_matrix(5, rng), random_setting(5, rng)
         first = born_distribution(rho, setting)
         hit = born_distribution(rho, setting)
-        assert (memo.misses["_born"], memo.hits["_born"]) == (1, 1)
+        assert (memo.misses["_branches"], memo.hits["_branches"]) == (1, 1)
         memo.clear()
         fresh = born_distribution(rho, setting)
-        assert memo.misses["_born"] == 2
+        assert memo.misses["_branches"] == 2
         assert bitwise_equal(first, hit) and bitwise_equal(hit, fresh)
         assert bitwise_equal(fresh, whole_born(rho, setting.bases))
 
@@ -136,7 +157,7 @@ class TestBornMemo:
         cases = [(rho, TomographicSetting("XYZ")), (pure, TomographicSetting("XYZXYZ"))]
         for state, setting in cases if mixed_first else cases[::-1]:
             assert bitwise_equal(born_distribution(state, setting), whole_born(state, setting.bases))
-        assert memo.misses["_born"] == 2 and not memo.hits
+        assert memo.misses["_branches"] == 2 and not memo.hits
 
     def test_altered_array_gets_a_fresh_vector(self, rng, memo):
         rho, setting = random_density_matrix(4, rng), random_setting(4, rng)
@@ -145,7 +166,7 @@ class TestBornMemo:
         rho.entries[:] = np.eye(16) / 16
         rho.entries.flags.writeable = False
         after = born_distribution(rho, setting)
-        assert memo.misses["_born"] == 2 and not memo.hits
+        assert memo.misses["_branches"] == 2 and not memo.hits
         assert not np.array_equal(before, after)
         assert bitwise_equal(after, np.full(16, 1 / 16))
 
@@ -167,16 +188,20 @@ class TestBornMemo:
         for _ in range(3 * states._MEMO_ENTRIES):
             born_distribution(random_pure_state(2, rng), setting)
         assert len(memo) == states._MEMO_ENTRIES == 16
-        assert memo.misses["_born"] == 3 * states._MEMO_ENTRIES
-        assert all(not v.flags.writeable and v.nbytes == 8 * 2**2 for v in memo.values())
+        assert memo.misses["_branches"] == 3 * states._MEMO_ENTRIES
+        for branch_states, probs in memo.values():  # a Born entry holds 24 * 2^n bytes
+            assert branch_states.shape == (2**2, 1) and probs.shape == (2**2,)
+            assert not branch_states.flags.writeable and not probs.flags.writeable
+            assert branch_states.nbytes + probs.nbytes == 24 * 2**2
 
     def test_sample_counts_hits_after_born_distribution(self, rng, memo):
         rho, setting = random_density_matrix(4, rng), random_setting(4, rng)
         born_distribution(rho, setting)
         sample_counts(rho, setting, 1000, seed=1)
         exact_record(rho, setting)
-        assert [key[1] for key in memo] == [setting.bases]  # one contraction, of this setting
-        assert (memo.misses["_born"], memo.hits["_born"]) == (1, 2)
+        steps = tuple((q, LocalBasis(b)) for q, b in enumerate(setting.bases, 1))
+        assert [key[1] for key in memo] == [steps]  # one contraction, of this setting
+        assert (memo.misses["_branches"], memo.hits["_branches"]) == (1, 2)
 
     def test_checks_run_on_a_hit(self):
         born_distribution(cluster4(), TomographicSetting("XXZZ"))
@@ -446,6 +471,14 @@ class TestCountRecordRange:
     def test_total_at_int64_limit_kept(self):
         record = CountRecord(TomographicSetting("Z"), [2**63 - 2, 1])
         assert record.total == 2**63 - 1 and record.counts.dtype == np.int64
+
+    def test_total_is_stored_once(self):
+        record = CountRecord(TomographicSetting("ZX"), [3, 0, 2**62, 5])
+        assert vars(record)["total"] == 2**62 + 8 and type(record.total) is int
+        with pytest.raises(AttributeError):
+            record.total = 0
+        with pytest.raises(TypeError):
+            CountRecord(TomographicSetting("Z"), [1, 2], total=3)
 
 
 class TestCsv:

@@ -22,7 +22,7 @@ from clustersim.states import (
     pauli_expectation,
     schmidt_coefficients,
 )
-from clustersim.states import _branches
+from clustersim.states import _branch, _branches
 from clustersim.witness import TomographicSetting
 from conftest import (
     amplitude,
@@ -419,20 +419,21 @@ class TestValidation:
 
 
 class TestMemo:
-    """Branch tables and Born vectors share one content-keyed memo, `states._memoised`."""
+    """Branch tables and Born vectors are one contraction, `states._branches`,
+    in one content-keyed memo, `states._memoised`."""
 
-    def test_born_vector_and_branch_table_are_separate_entries(self, rng, memo):
+    def test_born_vector_and_all_qubit_branch_table_are_one_entry(self, rng, memo):
         rho = random_density_matrix(3, rng)
         steps = tuple((q, LocalBasis("XYZ"[q - 1])) for q in (1, 2, 3))
         probs = born_distribution(rho, TomographicSetting("XYZ"))
+        assert len(memo) == 1 and memo.misses == {"_branches": 1} and not memo.hits
         table = _branches(steps, 3, rho.entries)
-        assert len(memo) == 2 and memo.misses == {"_born": 1, "_branches": 1} and not memo.hits
-        assert sorted(key[0] for key in memo) == ["_born", "_branches"]
-        assert np.allclose(table[1], probs, atol=1e-15)
+        assert len(memo) == 1 and memo.hits == {"_branches": 1}
+        assert table[1].tobytes() == probs.tobytes()
         assert np.array_equal(probs, whole_born(rho, "XYZ"))
         assert born_distribution(rho, TomographicSetting("XYZ")).tobytes() == probs.tobytes()
         assert _branches(steps, 3, rho.entries) is table
-        assert memo.hits == {"_born": 1, "_branches": 1}
+        assert memo.misses == {"_branches": 1} and memo.hits == {"_branches": 3}
 
     def test_no_key_holds_a_copy_of_the_state(self, rng, memo):
         pure, rho = random_pure_state(5, rng), random_density_matrix(3, rng)
@@ -449,3 +450,20 @@ class TestMemo:
             for leaf in leaves(key):
                 assert not isinstance(leaf, (np.ndarray, memoryview, bytearray))
                 assert not isinstance(leaf, bytes) or len(leaf) == 32  # a SHA-256 digest, not the state
+
+
+class TestBranchThreshold:
+    """A branch less likely than 1e-12 is impossible where it is used, judged
+    on its joint probability; the table keeps its entry."""
+
+    def test_joint_probability_decides(self):
+        steps = ((1, LocalBasis.z()), (2, LocalBasis.z()))
+        one = [math.sqrt(1 - 1e-7), math.sqrt(1e-7)]  # each step's conditional probability of 1 is 1e-7
+        state = PureState.from_amplitudes(ket(one, one, [1, 0]))
+        probs = _branches(steps, 3, state.amplitudes)[1]
+        assert probs[3] == pytest.approx(1e-14, rel=1e-6)
+        assert _branch(steps, state, "01")[2] == pytest.approx(1e-7, rel=1e-6)
+        with pytest.raises(ValueError, match="branch 11 has probability ~0"):
+            _branch(steps, state, "11")
+        with pytest.raises(ValueError, match="branch 11 has probability ~0"):
+            _branch(steps, state.to_density(), "11")
