@@ -6,6 +6,7 @@ at most 2^c blocks and send the block label; the receiver then prepares the
 best fixed state per block, worth the top eigenvalue of the block's summed
 projectors. The best grouping comes from the set-partition dynamic programme
 over target subsets (Björklund, Husfeldt & Koivisto, SIAM J. Comput. 2009).
+A solve is memoised by block count and amplitudes (`states._memoised`).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .states import PureState
+from .states import PureState, _memoised, _trusted
 
 MAX_TARGETS = 12  # 12 targets in 4 blocks solve in about 25 ms (2 vCPU, numpy 2.4)
 
@@ -73,7 +74,13 @@ def classical_bound(targets: list[PureState], bits: int):
         raise ValueError(f"need 1 to {MAX_TARGETS} targets")
     if len({s.amplitudes.size for s in targets}) > 1:
         raise ValueError("targets must have equal dimension")
-    nblocks = min(1 << min(int(bits), n), n)
+    return _solve(min(1 << min(int(bits), n), n), np.stack([s.amplitudes for s in targets]))
+
+
+@_memoised
+def _solve(nblocks: int, amps: np.ndarray):
+    """`classical_bound` over at most `nblocks` blocks of the rows' targets."""
+    n, targets = len(amps), [_trusted(PureState, amps.shape[1].bit_length() - 1, a) for a in amps]
 
     # value[S]: summed fidelity of the best state for the targets in bit mask S,
     # from block sums built by doubling, 2^low at a time to bound memory.

@@ -212,7 +212,7 @@ def _read_counts(path: str):
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")
     try:
         return counts_mod.parse_counts(text)

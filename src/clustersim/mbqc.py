@@ -8,12 +8,12 @@ instruction (32 each). The measurements run on `states`' one contraction
 for local measurements (`_branches`), which `measure` and Born vectors use
 too: it gives every outcome branch at once to feedforward derivation, pure
 and noisy execution and the reassignment check, and is memoised by content
-(`states._memoised`), so a pattern's branches are contracted once per
-resource. A branch less likely than `states._IMPOSSIBLE` is never taken or
-corrected. Each branch's correction is the first Pauli word, in I < X < Y < Z
-order, that maps it onto the circuit-model target state. Output states are
-valid by construction and skip the public constructors' checks (see
-`states`).
+(`states._memoised`, 1 MiB), so a pattern's branches are contracted once per
+resource, and those on `cluster4()` serve the next session too. A branch
+less likely than `states._IMPOSSIBLE` is never taken or corrected. Each
+branch's correction is the first Pauli word, in I < X < Y < Z order, that
+maps it onto the circuit-model target state. Output states are valid by
+construction and skip the public constructors' checks (see `states`).
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ gives the Born vector (`counts.born_distribution`); `_branch` picks one
 branch, `measure` is its one-step call and `mbqc` runs whole patterns on it.
 A branch less likely than _IMPOSSIBLE is impossible where a branch is used
 (`_branch`, `mbqc`); the table, and so every Born vector, keeps it. Results
-live in one memo, `_memoised`: 16 read-only (states, probs) entries, LRU,
-keyed by the steps and a digest of the state read in place, so at most
-256·4^n bytes (a Born entry is 24·2^n) and no copy of a state.
+live in one memo, `_memoised`, with `classical_bound`'s solves: read-only,
+keyed by the steps and a digest of the state read in place (no copy), LRU in
+_MEMO_BYTES = 1 MiB (or one larger entry), an entry counted as >= 4 KiB.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
@@ -200,23 +200,26 @@ class LocalBasis:
 # --- local measurements -------------------------------------------------
 
 
-_MEMO: OrderedDict = OrderedDict()  # oldest first; each call on it is one atomic step under the GIL
-_MEMO_ENTRIES = 16
+_MEMO: OrderedDict = OrderedDict()  # key -> (value, size), oldest first; each call on it is one atomic step under the GIL
+_MEMO_BYTES = 1 << 20  # an entry's size is its arrays' bytes, at least 4 KiB
 
 
 def _memoised(compute):
-    """`compute(*args, tensor)` memoised in `_MEMO` under (compute's name, the
-    hashable args, the tensor's shape, SHA-256 digest of the C-contiguous
-    tensor read in place); results are read-only, shared by every caller."""
+    """`compute(*args, tensor)` (a tuple) memoised in `_MEMO` under (its name,
+    the hashable args, the C-contiguous tensor's shape and SHA-256 digest read
+    in place): read-only, shared by all callers; a miss evicts oldest-first."""
     def lookup(*args):
         key = (compute.__name__, *args[:-1], args[-1].shape, hashlib.sha256(args[-1]).digest())
-        value = _MEMO.pop(key, None)
-        if value is None:
+        entry = _MEMO.pop(key, None)
+        if entry is None:
             value = compute(*args)
-        _MEMO[key] = value
-        if len(_MEMO) > _MEMO_ENTRIES:
-            _MEMO.popitem(last=False)
-        return value
+            entry = value, max(4096, sum(a.nbytes for a in value if isinstance(a, np.ndarray)))
+            # dict's own view: OrderedDict's would hash each key again
+            excess = sum(size for _, size in dict.values(_MEMO)) + entry[1] - _MEMO_BYTES
+            while excess > 0 and _MEMO:
+                excess -= _MEMO.popitem(last=False)[1][1]
+        _MEMO[key] = entry
+        return entry[0]
 
     return lookup
 

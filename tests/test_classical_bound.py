@@ -216,6 +216,36 @@ class TestAgainstEnumeration:
         self._agree(targets, 2)
 
 
+class TestMemoisedSolve:
+    """A solve is memoised by block count and target amplitudes."""
+
+    def test_equal_content_shares_one_solve(self, memo, rng):
+        targets = [random_pure_state(2, rng) for _ in range(6)]
+        value, strategy = classical_bound(targets, bits=1)
+        copies = [PureState(2, np.array(s.amplitudes)) for s in targets]
+        assert classical_bound(copies, bits=1)[1] is strategy
+        assert memo.misses == {"_solve": 1} and memo.hits == {"_solve": 1}
+        expected_value, expected_groups = enumerated_bound(targets, 1)
+        assert value == pytest.approx(expected_value, abs=1e-12) and strategy.groups == expected_groups
+
+    def test_bits_beyond_the_target_count_share_one_solve(self, memo, rng):
+        targets = [random_pure_state(1, rng) for _ in range(4)]
+        results = [classical_bound(targets, bits) for bits in (2, 3, 7)]
+        assert memo.misses == {"_solve": 1} and memo.hits == {"_solve": 2}
+        assert results[0][0] == pytest.approx(1.0, abs=1e-12) and all(r[1] is results[0][1] for r in results)
+        assert results[0][1].groups == enumerated_bound(targets, 2)[1] == ((0,), (1,), (2,), (3,))
+
+    def test_a_fresh_solve_has_the_same_bits(self, memo):
+        two = [target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS]
+        value, strategy = classical_bound(two, bits=2)
+        memo.clear()
+        again, fresh = classical_bound(two, bits=2)
+        assert fresh is not strategy and again == value == strategy.average_fidelity
+        assert fresh.groups == strategy.groups
+        for a, b in zip(fresh.prepared_states, strategy.prepared_states):
+            assert a.amplitudes.tobytes() == b.amplitudes.tobytes() and not a.amplitudes.flags.writeable
+
+
 class TestMarginReport:
     def test_two_qubit_margin(self):
         assert margin_report(0.895, 0.010, COS2_PI8) == pytest.approx(4.14, abs=0.01)

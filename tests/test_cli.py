@@ -64,6 +64,17 @@ class TestWitnessCommand:
         assert run(["witness", "--counts", ""]) == 2
         assert capsys.readouterr().err.startswith("data error: cannot read ")
 
+    @pytest.mark.parametrize("command", ["witness", "ingest"])
+    def test_counts_not_utf8_process_exit(self, command, tmp_path):
+        csv_path = tmp_path / "counts.csv"
+        csv_path.write_bytes(b"\xff\xfe")
+        env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        argv = [sys.executable, "-W", "error::RuntimeWarning", "-m", "clustersim.cli", command, "--counts", str(csv_path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith(f"data error: cannot read {csv_path}: ")
+        assert "Traceback" not in proc.stderr
+
     def test_noise_with_counts_process_exit(self, tmp_path):
         csv_path = tmp_path / "counts.csv"
         assert run(["sample", "--shots", "100", "--out", str(csv_path)]) == 0

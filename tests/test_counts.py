@@ -184,15 +184,25 @@ class TestBornMemo:
         assert np.array_equal(record.counts, np.rint(whole_born(state, setting.bases) * 10**6))
 
     def test_memo_is_bounded(self, rng, memo):
-        setting = TomographicSetting("XZ")
-        for _ in range(3 * states._MEMO_ENTRIES):
+        """At most _MEMO_BYTES are held, each entry counted as its arrays'
+        bytes but at least 4 KiB; a larger entry is kept, alone."""
+        setting, budget = TomographicSetting("XZ"), states._MEMO_BYTES
+        for _ in range(3 * budget // 4096):
             born_distribution(random_pure_state(2, rng), setting)
-        assert len(memo) == states._MEMO_ENTRIES == 16
-        assert memo.misses["_branches"] == 3 * states._MEMO_ENTRIES
-        for branch_states, probs in memo.values():  # a Born entry holds 24 * 2^n bytes
+        assert memo.misses["_branches"] == 3 * budget // 4096
+        assert sum(size for _, size in memo.values()) <= budget == 1 << 20
+        assert len(memo) == 256
+        for (branch_states, probs), size in memo.values():  # a Born entry holds 24 * 2^n bytes
             assert branch_states.shape == (2**2, 1) and probs.shape == (2**2,)
             assert not branch_states.flags.writeable and not probs.flags.writeable
-            assert branch_states.nbytes + probs.nbytes == 24 * 2**2
+            assert branch_states.nbytes + probs.nbytes == 24 * 2**2 and size == 4096
+        big = random_pure_state(17, rng)  # one step leaves two 2^16-amplitude branches, 2 MiB
+        measure(big, 1, LocalBasis.z(), select=0)
+        ((branch_states, probs), size), = memo.values()
+        assert size == branch_states.nbytes + probs.nbytes > budget
+        assert not branch_states.flags.writeable and not probs.flags.writeable
+        born_distribution(random_pure_state(2, rng), setting)
+        assert [size for _, size in memo.values()] == [4096]
 
     def test_sample_counts_hits_after_born_distribution(self, rng, memo):
         rho, setting = random_density_matrix(4, rng), random_setting(4, rng)

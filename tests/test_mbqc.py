@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from clustersim.classical_bound import classical_bound
+from clustersim.counts import sample_counts
 from clustersim.mbqc import (
     SINGLE_QUBIT_INSTRUCTIONS,
     TWO_QUBIT_INSTRUCTIONS,
@@ -32,6 +34,7 @@ from clustersim.states import (
     named_state,
 )
 from clustersim.states import _branches, _pauli_kernel
+from clustersim.witness import build_b4, required_settings
 from conftest import (
     bras_reassignment_check,
     dense_pauli,
@@ -251,6 +254,42 @@ class TestBranchCache:
                 execute(pattern, named_state("plus"), branch="0")
             with pytest.raises(TypeError):
                 execute_density(pattern, rho, None)
+
+
+class TestSessionReuse:
+    """A paper session's lookups on the cluster and its two classical bounds
+    are still memoised when the next session, with other noise, asks again."""
+
+    @staticmethod
+    def _session(noise):
+        cluster = cluster4()
+        rho = apply_noise(cluster, noise)
+        patterns = [two_qubit_pattern(i) for i in TWO_QUBIT_INSTRUCTIONS[:4]]
+        for pattern in patterns + [single_rotation_pattern(i) for i in SINGLE_QUBIT_INSTRUCTIONS[:4]]:
+            m = len(pattern.steps)
+            for branch in (format(i, f"0{m}b") for i in range(2**m)):
+                execute(pattern, cluster, branch=branch)
+                execute_density(pattern, rho, branch)
+            assert basis_reassignment_check(pattern, cluster)
+        for q, b in zip((1, 2, 3, 4), "XYZX"):
+            measure(cluster, q, LocalBasis(b), select=0)
+        classical_bound([target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS], 2)
+        classical_bound([target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS], 2)
+        for i, setting in enumerate(required_settings(build_b4())):
+            sample_counts(rho, setting, 1000, seed=i)
+
+    def test_second_session_misses_only_noisy_lookups(self, memo):
+        two_qubit_pattern.cache_clear()  # so that the first session derives, whatever ran before
+        single_rotation_pattern.cache_clear()
+        self._session(NoiseSpec("white", 0.86))
+        first, misses, hits = set(memo), memo.misses.copy(), memo.hits.copy()
+        self._session(NoiseSpec("dephase", 0.1, (1, 2)))
+        assert memo.misses - misses == {"_branches": 8 + 4}
+        assert memo.hits["_solve"] - hits["_solve"] == 2
+        new = set(memo) - first  # 8 pattern tables and 4 Born vectors on the noisy state
+        assert len(new) == 12 and all(key[-2] == (16, 16) for key in new)
+        assert sorted(len(key[1]) for key in new) == [2] * 4 + [3] * 4 + [4] * 4
+        assert first <= set(memo)  # nothing evicted
 
 
 class TestPatternMemo:

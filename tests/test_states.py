@@ -372,6 +372,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
 
+    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("least,accepted", [(-2e-8, False), (-5e-9, True)])
+    def test_positivity_threshold(self, n, least, accepted, rng):
+        """Positivity allows an eigenvalue down to -PSD_ATOL = -1e-8."""
+        dim = 2**n
+        unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        eigs = np.full(dim, 1 / (dim - 1))
+        eigs[0], eigs[1] = least, eigs[1] - least
+        mat = (unitary * eigs) @ unitary.conj().T
+        mat = (mat + mat.conj().T) / 2
+        assert np.linalg.eigvalsh(mat)[0] == pytest.approx(least, rel=1e-4)
+        if accepted:
+            assert np.array_equal(DensityMatrix(n, mat).entries, mat)
+        else:
+            with pytest.raises(ValueError, match="significantly negative eigenvalue"):
+                DensityMatrix(n, mat)
+
+    def test_low_rank_state_accepted_at_n10(self, rng):
+        g = rng.normal(size=(2**10, 3)) + 1j * rng.normal(size=(2**10, 3))
+        rho = g @ g.conj().T
+        assert DensityMatrix(10, rho / np.trace(rho).real).n_qubits == 10
+
     @pytest.mark.parametrize("entry,delta", [((100, 120), 1e-6), ((127, 127), 1e-6j)])
     def test_non_hermitian_entry_in_last_row_block(self, entry, delta, rng):
         """n = 7 has two 64-row blocks; the defect and its mirror lie in the second only."""
