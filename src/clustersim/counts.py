@@ -9,18 +9,20 @@ operator. Outcomes are indexed with qubit 1 as the most significant bit.
 A Born vector is the probs of the all-qubit branch table of its setting
 (`states._branches`), so it is computed once per (state, setting) and is one
 memo entry with that table. Counts are int64; a count or a setting's total
-past 2**63 - 1 is an error, not a wrap.
+past 2**63 - 1 is an error, not a wrap. CSV errors name their line.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .noise import _field
 from .states import DensityMatrix, LocalBasis, PauliString, PureState, _branches, _pauli_kernel
 from .witness import ObservableSum, TomographicSetting, required_settings
 
@@ -184,27 +186,31 @@ def parse_counts(text: str) -> list[CountRecord]:
     rows = [row for row in reader if row and any(cell.strip() for cell in row)]
     if not rows or [c.strip() for c in rows[0]] != CSV_HEADER:
         raise ValueError("expected header 'setting,outcome,count'")
-    accum: dict[str, list] = {}  # Python ints, so that no sum wraps
-    totals: dict[str, int] = {}
+    accum, totals = {}, {}  # setting -> (TomographicSetting, label -> index, counts), and its total; Python ints
     for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            raise ValueError(f"line {lineno}: expected 3 fields")
-        setting_str, outcome, count_str = (c.strip() for c in row)
-        setting = TomographicSetting(setting_str)
         try:
-            count = int(count_str)
-        except ValueError:
-            raise ValueError(f"line {lineno}: count {count_str!r} is not an integer")
-        if count < 0:
-            raise ValueError(f"line {lineno}: negative count")
-        idx = outcome_index(setting, outcome)
-        if setting_str not in accum:
-            accum[setting_str], totals[setting_str] = [0] * 2 ** len(setting_str), 0
-        totals[setting_str] += count
-        if totals[setting_str] > _MAX_COUNT:
-            raise ValueError(f"line {lineno}: setting {setting_str}'s total count exceeds 2**63 - 1")
-        accum[setting_str][idx] += count
-    return [CountRecord(TomographicSetting(s), c) for s, c in accum.items()]
+            if len(row) != 3:
+                raise ValueError("expected 3 fields")
+            setting_str, outcome, count_str = (c.strip() for c in row)
+            if setting_str not in accum:  # one setting and label map per distinct setting
+                accum[setting_str] = TomographicSetting(setting_str), _labels(setting_str), [0] * 2 ** len(setting_str)
+            setting, index, counts = accum[setting_str]
+            count = _field(int, count_str, "count {!r} is not an integer")
+            if count < 0:
+                raise ValueError("negative count")
+            idx = index[outcome] if outcome in index else outcome_index(setting, outcome)  # which names the fault
+            totals[setting_str] = totals.get(setting_str, 0) + count
+            if totals[setting_str] > _MAX_COUNT:
+                raise ValueError(f"setting {setting_str}'s total count exceeds 2**63 - 1")
+            counts[idx] += count
+        except ValueError as exc:  # every row error names its line
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return [CountRecord(setting, counts) for setting, _, counts in accum.values()]
+
+
+def _labels(bases: str) -> dict:
+    """{outcome label: index} of a setting, in index order (`outcome_string`)."""
+    return dict(zip(map("".join, itertools.product(*(_OUTCOME_LETTERS[b] for b in bases))), itertools.count()))
 
 
 def serialize_counts(records: list[CountRecord]) -> str:
@@ -213,6 +219,5 @@ def serialize_counts(records: list[CountRecord]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for rec in records:
-        for idx in range(rec.counts.size):
-            writer.writerow([rec.setting.bases, outcome_string(rec.setting, idx), int(rec.counts[idx])])
+        writer.writerows(zip(itertools.repeat(rec.setting.bases), _labels(rec.setting.bases), rec.counts.tolist()))
     return out.getvalue()

@@ -1,5 +1,5 @@
-"""Schmidt-rank signatures and fidelity ceilings for entanglement-class
-discrimination among four-qubit states."""
+"""Schmidt-rank signatures and fidelity ceilings for entanglement-class discrimination
+among four-qubit states, from the memoised spectra of `states.schmidt_coefficients`."""
 
 from __future__ import annotations
 
@@ -32,11 +32,8 @@ def rank_signature(state: PureState) -> RankSignature:
     """Schmidt ranks above RANK_TOL across the three two-two partitions of a 4-qubit state."""
     if state.n_qubits != 4:
         raise ValueError("rank_signature requires a 4-qubit state")
-    ranks = [
-        int(np.sum(schmidt_coefficients(state, part) > RANK_TOL))
-        for part in PAIR_PARTITIONS.values()
-    ]
-    return RankSignature(*ranks)
+    spectra = (schmidt_coefficients(state, part) for part in PAIR_PARTITIONS.values())
+    return RankSignature(*(int(np.sum(s > RANK_TOL)) for s in spectra))
 
 
 def fidelity_ceiling(target: PureState, partition, k: int) -> float:
@@ -44,8 +41,8 @@ def fidelity_ceiling(target: PureState, partition, k: int) -> float:
     <= k in the given cut: the sum of the k largest squared Schmidt
     coefficients."""
     coeffs = schmidt_coefficients(target, partition)
-    if not 1 <= k <= coeffs.size:
-        raise ValueError(f"k must be in 1..{coeffs.size}")
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= coeffs.size:
+        raise ValueError(f"k must be an integer in 1..{coeffs.size}, got {k!r}")
     return float(np.sum(coeffs[:k] ** 2))
 
 

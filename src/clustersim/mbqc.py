@@ -1,19 +1,19 @@
 """One-way quantum-computing patterns on the four-qubit cluster resource.
 
 A pattern is an ordered list of single-qubit measurements plus a read-only
-table of outcome-conditioned Pauli corrections on the output qubits, held in
-the binary (flip, phase) form of `states._pauli_kernel` and applied as a
-gather. It depends only on its angles, so both builders are memoised per
-instruction (32 each). The measurements run on `states`' one contraction
-for local measurements (`_branches`), which `measure` and Born vectors use
-too: it gives every outcome branch at once to feedforward derivation, pure
-and noisy execution and the reassignment check, and is memoised by content
-(`states._memoised`, 1 MiB), so a pattern's branches are contracted once per
-resource, and those on `cluster4()` serve the next session too. A branch
-less likely than `states._IMPOSSIBLE` is never taken or corrected. Each
-branch's correction is the first Pauli word, in I < X < Y < Z order, that
-maps it onto the circuit-model target state. Output states are valid by
-construction and skip the public constructors' checks (see `states`).
+table of outcome-conditioned Pauli correction words on the output qubits. It
+depends only on its angles, so both builders are memoised per instruction
+(32 each). The measurements run on `states`' one contraction for local
+measurements (`_branches`), which gives every outcome branch at once.
+Derivation contracts once per instruction; execution and the reassignment
+check index one table per (pattern, resource), `_corrected`: every branch's
+corrected output and probability, the words applied in the binary form of
+`states._pauli_kernel` as one gather, memoised by content (`states._memoised`),
+so the tables on `cluster4()` serve the next session too. A branch less
+likely than `states._IMPOSSIBLE` is never taken. Each branch's correction is
+the first Pauli word, in I < X < Y < Z order, that maps it onto the
+circuit-model target state. Output states are fresh copies, valid by
+construction, that skip the public constructors' checks (see `states`).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .states import (
     _IMPOSSIBLE,
     _branch,
     _branches,
+    _memoised,
     _pauli_kernel,
     _trusted,
     apply_gate,
@@ -78,18 +79,27 @@ class MeasurementPattern:
             if not isinstance(word, str) or len(word) != k or set(word) - set("IXYZ"):
                 raise ValueError(f"branch {b}: correction {word!r} is not a Pauli word on {k} qubits")
         object.__setattr__(self, "corrections", MappingProxyType(dict(zip(branches, words))))
-        object.__setattr__(self, "_ops", _pauli_kernel(words, k))  # read-only per-branch (flip, phase)
 
 
-def _run(pattern: MeasurementPattern, resource, branch, seed=None):
-    """One branch of a pure or density resource (`states._branch`), with its
-    correction: (bitstring, normalised uncorrected state, probability, flip,
-    phase)."""
+@_memoised
+def _corrected(steps: tuple, words: tuple, n: int, tensor: np.ndarray):
+    """(outputs, probs): `_branches`' table on amplitudes or a density matrix
+    with branch b's state P_b psi_b or P_b rho_b P_b^dagger, P_b = words[b],
+    gathered for all branches at once."""
+    states, probs = _branches.__wrapped__(steps, n, tensor)
+    flip, phase = _pauli_kernel(words, n - len(steps))
+    if tensor.ndim == 1:
+        return (phase * states)[np.arange(len(flip))[:, None], flip], probs
+    out = phase[:, :, None] * states * phase.conj()[:, None, :]
+    return out[np.arange(len(flip))[:, None, None], flip[:, :, None], flip[:, None, :]], probs
+
+
+def _table(pattern: MeasurementPattern, resource):
+    """The pattern's memoised `_corrected` table on a pure or density resource."""
     if resource.n_qubits != pattern.resource_size:
         raise ValueError("resource size does not match pattern")
-    outcomes, state, prob = _branch(pattern.steps, resource, branch, seed)
-    index = int("0" + outcomes, 2)
-    return outcomes, state, prob, pattern._ops[0][index], pattern._ops[1][index]
+    tensor = resource.entries if isinstance(resource, DensityMatrix) else resource.amplitudes
+    return _corrected(pattern.steps, tuple(pattern.corrections.values()), resource.n_qubits, tensor)
 
 
 def derive_feedforward(steps, output_qubits, resource: PureState, target: PureState) -> dict:
@@ -99,7 +109,7 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     branches in one batched product. Raises if some branch is impossible or
     not Pauli-equivalent to the target (wrong pattern or resource)."""
     n_out, steps = len(output_qubits), tuple((q, b) for q, b in steps)
-    states, probs = _branches(steps, resource.n_qubits, resource.amplitudes)
+    states, probs = _branches.__wrapped__(steps, resource.n_qubits, resource.amplitudes)
     words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))
     flip, phase = _pauli_kernel(words, n_out)
     overlaps = (target.amplitudes.conj()[flip] * phase) @ states.T  # <target|P_w, row w
@@ -159,8 +169,8 @@ def execute(pattern: MeasurementPattern, resource: PureState, branch=None, seed=
     distribution using `seed`. Returns (corrected output state, outcome
     bitstring, branch probability).
     """
-    outcomes, psi, prob, flip, phase = _run(pattern, resource, branch, seed)
-    return _trusted(PureState, len(pattern.output_qubits), (phase * psi)[flip]), outcomes, prob
+    outcomes, psi, prob = _branch(_table(pattern, resource), branch, seed)
+    return _trusted(PureState, len(pattern.output_qubits), np.array(psi)), outcomes, prob
 
 
 def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch):
@@ -168,9 +178,8 @@ def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch
     must be explicit."""
     if branch is None:
         raise TypeError("execute_density needs an explicit branch")
-    outcomes, rho, prob, flip, phase = _run(pattern, resource, branch)
-    rho = (phase[:, None] * rho * phase.conj())[flip[:, None], flip]  # P rho P^dagger
-    return _trusted(DensityMatrix, len(pattern.output_qubits), rho), outcomes, prob
+    outcomes, rho, prob = _branch(_table(pattern, resource), branch)
+    return _trusted(DensityMatrix, len(pattern.output_qubits), np.array(rho)), outcomes, prob
 
 
 def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -> bool:
@@ -181,13 +190,9 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     its 4^k Pauli expectations and are fixed by them, so the check compares
     <P_b psi_b|Q|P_b psi_b> with <target|Q|target> for every word Q."""
     n_out = len(pattern.output_qubits)
-    if resource.n_qubits != pattern.resource_size:
-        raise ValueError("resource size does not match pattern")
-    states, probs = _branches(pattern.steps, resource.n_qubits, resource.amplitudes)
+    corrected, probs = _table(pattern, resource)  # row b is P_b psi_b
     if (probs < _IMPOSSIBLE).any():
         raise ValueError("a branch of the pattern has probability ~0")
-    flip, phase = pattern._ops
-    corrected = (phase * states)[np.arange(len(flip))[:, None], flip]  # row b is P_b psi_b
     reference = corrected[0] if pattern.target is None else pattern.target.amplitudes
     psi = np.vstack([reference, corrected])
     words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))  # derive_feedforward's table

@@ -13,14 +13,15 @@ Conventions used throughout the package:
 
 Local measurements have one contraction, `_branches`: every outcome branch
 of a list of single-qubit measurements on a pure or density state at once,
-from the Kronecker bras of the steps. Every qubit measured in label order
-gives the Born vector (`counts.born_distribution`); `_branch` picks one
-branch, `measure` is its one-step call and `mbqc` runs whole patterns on it.
-A branch less likely than _IMPOSSIBLE is impossible where a branch is used
-(`_branch`, `mbqc`); the table, and so every Born vector, keeps it. Results
-live in one memo, `_memoised`, with `classical_bound`'s solves: read-only,
-keyed by the steps and a digest of the state read in place (no copy), LRU in
-_MEMO_BYTES = 1 MiB (or one larger entry), an entry counted as >= 4 KiB.
+from the Kronecker bras of the steps (each basis's built once, `_bras`). Every
+qubit measured in label order gives the Born vector (`counts.born_distribution`);
+`_branch` picks one branch of a table, `measure` is its one-step call and
+`mbqc` runs whole patterns on it. A branch less likely than _IMPOSSIBLE is
+impossible where a branch is used (`_branch`, `mbqc`); the table, and so every
+Born vector, keeps it. Results live in one memo, `_memoised`, with Schmidt
+spectra, `mbqc`'s tables, dominance and `classical_bound`'s solves: read-only,
+keyed by the arguments and a digest of the state read in place (no copy), LRU
+in 1 MiB (or one larger entry), an entry counted as >= 4 KiB. Callers get copies.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
@@ -200,44 +201,59 @@ class LocalBasis:
 # --- local measurements -------------------------------------------------
 
 
-_MEMO: OrderedDict = OrderedDict()  # key -> (value, size), oldest first; each call on it is one atomic step under the GIL
+_MEMO: OrderedDict = OrderedDict()  # key -> (value, size), oldest first; `held`: the sizes' sum, kept by one thread
 _MEMO_BYTES = 1 << 20  # an entry's size is its arrays' bytes, at least 4 KiB
 
 
 def _memoised(compute):
     """`compute(*args, tensor)` (a tuple) memoised in `_MEMO` under (its name,
     the hashable args, the C-contiguous tensor's shape and SHA-256 digest read
-    in place): read-only, shared by all callers; a miss evicts oldest-first."""
+    in place): its arrays made read-only, shared by all callers; a miss evicts
+    oldest-first. The byte total is held on the dict (a dict swapped in keeps
+    its own; an emptied one restarts at 0). `__wrapped__` skips the memo."""
+    @functools.wraps(compute)
     def lookup(*args):
+        memo = _MEMO
         key = (compute.__name__, *args[:-1], args[-1].shape, hashlib.sha256(args[-1]).digest())
-        entry = _MEMO.pop(key, None)
+        entry = memo.pop(key, None)
         if entry is None:
             value = compute(*args)
-            entry = value, max(4096, sum(a.nbytes for a in value if isinstance(a, np.ndarray)))
-            # dict's own view: OrderedDict's would hash each key again
-            excess = sum(size for _, size in dict.values(_MEMO)) + entry[1] - _MEMO_BYTES
-            while excess > 0 and _MEMO:
-                excess -= _MEMO.popitem(last=False)[1][1]
-        _MEMO[key] = entry
+            arrays = [a for a in value if isinstance(a, np.ndarray)]
+            for a in arrays:
+                a.flags.writeable = False
+            entry = value, max(4096, sum(a.nbytes for a in arrays))
+            held = (getattr(memo, "held", 0) if memo else 0) + entry[1]
+            while held > _MEMO_BYTES and memo:
+                held -= memo.popitem(last=False)[1][1]
+            memo.held = held
+        memo[key] = entry
         return entry[0]
 
     return lookup
+
+
+@functools.lru_cache(maxsize=64)
+def _bras(basis: LocalBasis) -> np.ndarray:
+    """conj(basis.vectors()) as read-only rows (2, 2), built once per basis."""
+    rows = np.conj(basis.vectors())
+    rows.flags.writeable = False
+    return rows
 
 
 @_memoised
 def _branches(steps: tuple, n: int, tensor: np.ndarray):
     """Every outcome branch of the measurements, a tuple of (qubit, LocalBasis)
     pairs, on amplitudes (2^n,) or a density matrix (2^n, 2^n). Returns
-    read-only (states, probs): per branch b (first step most significant),
+    (states, probs): per branch b (first step most significant),
     its state on the other qubits in label order, divided by its own raw
     norm, and its probability, clipped at 0 and normalised to sum 1. The
     bras u are the Kronecker product of the steps' conj(LocalBasis.vectors())
-    by broadcasting, as np.kron's values; with the measured axes first, in
-    step order, u applies as one matmul (pure) or one einsum per 64-row block
-    of u (density). Every qubit in label order gives the Born vector."""
+    (`_bras`) by broadcasting, as np.kron's values; with the measured axes
+    first, in step order, u applies as one matmul (pure) or one einsum per
+    64-row block of u (density). Every qubit in label order gives the Born vector."""
     u = np.ones((1, 1), dtype=complex)
     for _, basis in steps:
-        rows = np.conj(basis.vectors())
+        rows = _bras(basis)
         u = (u[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(u), -1)
     mixed, measured = tensor.ndim == 2, [q - 1 for q, _ in steps]
     order = measured + [a for a in range(n) if a not in measured]
@@ -254,22 +270,20 @@ def _branches(steps: tuple, n: int, tensor: np.ndarray):
     norm = np.where(probs > 0, probs if mixed else np.sqrt(probs), 1.0)
     t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
     probs = np.clip(probs, 0.0, None)
-    probs = probs / probs.sum()
-    t.flags.writeable = probs.flags.writeable = False
-    return t, probs
+    return t, probs / probs.sum()
 
 
-def _branch(steps, state, bits=None, seed=None):
-    """One branch of the measurements `steps` on a pure or density state:
-    (bitstring, read-only normalised state on the other qubits, probability).
-    Without `bits`, bit k is drawn in step order with one `rng.random()` r as
+def _branch(table, bits=None, seed=None):
+    """One branch of a table (states, probs) of m measurements, as `_branches`
+    returns: (bitstring, its read-only state, probability). Without `bits`,
+    bit k is drawn in step order with one `rng.random()` r as
     r (p0 + p1) >= p0, p0 and p1 the probabilities of its two continuations.
     A branch less likely than _IMPOSSIBLE is an error."""
-    tensor = state.entries if isinstance(state, DensityMatrix) else state.amplitudes
-    states, probs = _branches(steps, state.n_qubits, tensor)
+    states, probs = table
+    m = probs.size.bit_length() - 1
     if bits is None:
         rng, bits = np.random.default_rng(seed), ""
-        for k in range(1, len(steps) + 1):
+        for k in range(1, m + 1):
             i = 2 * int("0" + bits, 2)
             p0, p1 = probs.reshape(2**k, -1)[i : i + 2].sum(1)
             bits += "01"[int(rng.random() * (p0 + p1) >= p0)]
@@ -277,8 +291,8 @@ def _branch(steps, state, bits=None, seed=None):
         bits = "".join(str(int(b)) for b in bits)
         if set(bits) - set("01"):
             raise ValueError("outcome bits must be 0 or 1")
-        if len(bits) != len(steps):
-            raise ValueError(f"{len(steps)} outcome bits expected, got {bits!r}")
+        if len(bits) != m:
+            raise ValueError(f"{m} outcome bits expected, got {bits!r}")
     index = int("0" + bits, 2)
     if probs[index] < _IMPOSSIBLE:
         raise ValueError(f"branch {bits} has probability ~0")
@@ -448,20 +462,23 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
         raise TypeError(f"unsupported state type {type(state)}")
     _check_qubits((qubit,), state.n_qubits)
     bits = None if select is None else (select,)
-    outcome, amps, p = _branch(((qubit, basis),), state, bits, seed)
-    # a copy, so that the result does not pin a `_MEMO` entry
+    outcome, amps, p = _branch(_branches(((qubit, basis),), state.n_qubits, state.amplitudes), bits, seed)
     return p, int(outcome), _trusted(PureState, state.n_qubits - 1, np.array(amps))
 
 
 def schmidt_coefficients(state: PureState, partition) -> np.ndarray:
-    """Descending Schmidt coefficients for a bipartition given by qubit labels."""
+    """Descending Schmidt coefficients for a bipartition given by qubit labels (a copy)."""
     n = state.n_qubits
     part = sorted(set(partition))
     if not part or len(part) >= n:
         raise ValueError("partition must be a nonempty proper subset")
     _check_qubits(part, n)
-    rest = [q for q in range(1, n + 1) if q not in part]
-    tensor = np.asarray(state.amplitudes).reshape((2,) * n)
-    order = [q - 1 for q in part] + [q - 1 for q in rest]
-    mat = tensor.transpose(order).reshape(2 ** len(part), 2 ** len(rest))
-    return np.linalg.svd(mat, compute_uv=False)
+    return _schmidt(tuple(part), n, state.amplitudes)[0].copy()
+
+
+@_memoised
+def _schmidt(part: tuple, n: int, amps: np.ndarray):
+    """(descending Schmidt coefficients,) of the cut between `part` and the rest."""
+    order = [q - 1 for q in part] + [a for a in range(n) if a + 1 not in part]
+    mat = amps.reshape((2,) * n).transpose(order).reshape(2 ** len(part), -1)
+    return (np.linalg.svd(mat, compute_uv=False),)

@@ -2,8 +2,8 @@
 
 Two few-setting observables give lower bounds on the cluster-state
 fidelity: a six-term one needing two measurement settings and an
-eight-term one needing four settings; both are dominated by the
-cluster projector, so their expectations never exceed the fidelity.
+eight-term one needing four settings; both are dominated by the cluster
+projector (`verify_dominance`, memoised), so they never exceed the fidelity.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PauliString, PureState, pauli_expectation
+from .states import PauliString, PureState, _memoised, pauli_expectation
 
 
 @dataclass(frozen=True)
@@ -82,9 +82,15 @@ def witness_expectation(state, b: ObservableSum) -> float:
 
 def verify_dominance(b: ObservableSum, target: PureState) -> float:
     """Smallest eigenvalue of |target><target| - B (nonnegative iff B is a
-    valid fidelity lower bound)."""
-    proj = np.outer(target.amplitudes, target.amplitudes.conj())
-    return float(np.linalg.eigvalsh(proj - b.dense())[0])
+    valid fidelity lower bound), memoised by B and the target's content."""
+    if b.n_qubits != target.n_qubits:
+        raise ValueError(f"observable on {b.n_qubits} qubits, target on {target.n_qubits}")
+    return _dominance(b, target.amplitudes)[0]
+
+
+@_memoised
+def _dominance(b: ObservableSum, amps: np.ndarray):
+    return (float(np.linalg.eigvalsh(np.outer(amps, amps.conj()) - b.dense())[0]),)
 
 
 def _join(a: str, b: str) -> str | None:

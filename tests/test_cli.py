@@ -267,6 +267,16 @@ class TestSampleIngest:
         assert run([sub, "--counts", str(path)]) == 2
         assert "covers neither witness's settings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [("xxzz,++HH,3", "invalid setting 'xxzz'"), ("XXZZ,++HQ,3", "outcome letter 'Q' invalid for basis Z")],
+    )
+    def test_bad_setting_or_outcome_names_the_line(self, row, message, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"setting,outcome,count\nXXZZ,++HH,5\n{row}\n")
+        assert run(["ingest", "--counts", str(bad)]) == 2
+        assert capsys.readouterr().err == f"data error: line 3: {message}\n"
+
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("setting,outcome,count\nXXZZ,++HH,-3\n")

@@ -521,6 +521,33 @@ class TestCsv:
         with pytest.raises(ValueError):
             parse_counts("setting,outcome,count\nXXZZ,RRHH,3\n")
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("xxzz,++HH,3", "invalid setting 'xxzz'"),
+            ("XXZZ,++HQ,3", "outcome letter 'Q' invalid for basis Z"),
+            ("XXZZ,++H,3", "outcome '\\+\\+H' has wrong length"),
+            ("XXZZ,++HH,3.5", "count '3.5' is not an integer"),
+        ],
+    )
+    def test_errors_name_the_line(self, row, message):
+        with pytest.raises(ValueError, match=f"^line 3: {message}$"):
+            parse_counts(f"setting,outcome,count\nXXZZ,--VV,1\n{row}\n")
+
+    def test_rows_equal_the_per_row_writer(self, rng):
+        records = [
+            CountRecord(TomographicSetting(s), rng.integers(0, 10**6, size=2 ** len(s)))
+            for s in ("Z", "XY", "YXZ", "ZZXX", "XYZXY", "YYYYYYYYYY")
+        ]
+        rows = ["setting,outcome,count"] + [
+            f"{rec.setting.bases},{outcome_string(rec.setting, i)},{int(c)}"
+            for rec in records for i, c in enumerate(rec.counts)
+        ]
+        text = serialize_counts(records)
+        assert text == "\n".join(rows) + "\n"
+        again = parse_counts(text)
+        assert [(r.setting, r.counts.tolist()) for r in again] == [(r.setting, r.counts.tolist()) for r in records]
+
     def test_missing_header_rejected(self):
         with pytest.raises(ValueError):
             parse_counts("XXZZ,++HH,3\n")

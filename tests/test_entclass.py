@@ -73,6 +73,11 @@ class TestFidelityCeiling:
         with pytest.raises(ValueError):
             fidelity_ceiling(cluster4(), {1, 3}, 0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, "2", None])
+    def test_k_not_an_integer(self, k):
+        with pytest.raises(ValueError, match=f"k must be an integer in 1..4, got {k!r}"):
+            fidelity_ceiling(cluster4(), (1, 3), k)
+
     def test_monotone_in_k(self, rng):
         for _ in range(10):
             state = random_pure_state(4, rng)

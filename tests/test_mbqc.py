@@ -33,9 +33,12 @@ from clustersim.states import (
     measure,
     named_state,
 )
-from clustersim.states import _branches, _pauli_kernel
-from clustersim.witness import build_b4, required_settings
+from clustersim.entclass import PAIR_PARTITIONS, fidelity_ceiling, rank_signature
+from clustersim.mbqc import _corrected
+from clustersim.states import _branch, _branches, _pauli_kernel
+from clustersim.witness import build_b2, build_b4, required_settings, verify_dominance
 from conftest import (
+    bitwise_equal,
     bras_reassignment_check,
     dense_pauli,
     ket,
@@ -186,13 +189,13 @@ class TestBranchEngine:
 
 
 def _misses_and_hits(memo):
-    return memo.misses["_branches"], memo.hits["_branches"]
+    return memo.misses["_corrected"], memo.hits["_corrected"]
 
 
 class TestBranchCache:
-    """`_branches` is memoised by content in `states._memoised`: one contraction
-    per (pattern, resource), shared by derivation, execution and the
-    reassignment check."""
+    """`_corrected` is memoised by content in `states._memoised`: one
+    contraction and one correction gather per (pattern, resource), shared by
+    execution and the reassignment check; derivation contracts unmemoised."""
 
     def test_branch_table_costs_one_pure_and_one_mixed_contraction(self, memo):
         pattern = single_rotation_pattern(GateInstruction(PI / 2, -PI / 2))
@@ -205,6 +208,7 @@ class TestBranchCache:
         for branch in branches:
             execute_density(pattern, rho, branch)
         assert _misses_and_hits(memo) == (1 + 1, 2 * 2**m - 2)
+        assert set(memo.misses) == {"_corrected"} and len(memo) == 2
 
     def test_content_equal_resources_share_an_entry(self, memo):
         two_qubit_pattern.cache_clear()  # so that the next call derives, whatever ran before
@@ -212,28 +216,30 @@ class TestBranchCache:
         execute(pattern, cluster4(), branch="01")
         execute(pattern, cluster4(), seed=3)
         assert basis_reassignment_check(pattern, cluster4())
-        assert _misses_and_hits(memo) == (1, 3)
+        assert _misses_and_hits(memo) == (1, 2)
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.86)), "00")
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.86)), "11")
-        assert _misses_and_hits(memo) == (2, 4)
+        assert _misses_and_hits(memo) == (2, 3)
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("white", 0.85)), "00")
         execute_density(pattern, apply_noise(cluster4(), NoiseSpec("dephase", 0.14, (1,))), "00")
-        assert _misses_and_hits(memo) == (4, 4)
-        assert set(memo.misses) == {"_branches"}
+        assert _misses_and_hits(memo) == (4, 3)
+        assert set(memo.misses) == {"_corrected"}
 
     def test_cached_arrays_are_read_only_and_recompute_bit_for_bit(self, memo):
         pattern = single_rotation_pattern(GateInstruction(PI / 2, 0))
         rho = apply_noise(cluster4(), NoiseSpec("white", 0.7))
-        for tensor in (cluster4().amplitudes, rho.entries):
+        words = tuple(pattern.corrections.values())
+        tables = (lambda t: _branches(pattern.steps, 4, t), lambda t: _corrected(pattern.steps, words, 4, t))
+        for table, tensor in itertools.product(tables, (cluster4().amplitudes, rho.entries)):
             memo.clear()
-            states, probs = _branches(pattern.steps, 4, tensor)
-            assert _branches(pattern.steps, 4, tensor)[0] is states
+            states, probs = table(tensor)
+            assert table(tensor)[0] is states
             for a in (states, probs):
                 assert not a.flags.writeable
                 with pytest.raises(ValueError):
                     a.flat[0] = 0.0
             memo.clear()
-            fresh = _branches(pattern.steps, 4, tensor)
+            fresh = table(tensor)
             assert fresh[0] is not states
             assert len(fresh) == 2
             for a, b in zip((states, probs), fresh):
@@ -257,8 +263,9 @@ class TestBranchCache:
 
 
 class TestSessionReuse:
-    """A paper session's lookups on the cluster and its two classical bounds
-    are still memoised when the next session, with other noise, asks again."""
+    """A paper session's lookups on the cluster, its Schmidt spectra, its
+    dominance checks and its two classical bounds are still memoised when the
+    next session, with other noise, asks again."""
 
     @staticmethod
     def _session(noise):
@@ -273,6 +280,12 @@ class TestSessionReuse:
             assert basis_reassignment_check(pattern, cluster)
         for q, b in zip((1, 2, 3, 4), "XYZX"):
             measure(cluster, q, LocalBasis(b), select=0)
+        for state in [cluster] + [named_state(name) for name in ("ghz4", "w4", "dicke4")]:
+            rank_signature(state)
+        for part, k in itertools.product(PAIR_PARTITIONS.values(), (1, 2, 3, 4)):
+            fidelity_ceiling(cluster, part, k)
+        for b in (build_b2(), build_b4()):
+            verify_dominance(b, cluster)
         classical_bound([target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS], 2)
         classical_bound([target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS], 2)
         for i, setting in enumerate(required_settings(build_b4())):
@@ -284,8 +297,10 @@ class TestSessionReuse:
         self._session(NoiseSpec("white", 0.86))
         first, misses, hits = set(memo), memo.misses.copy(), memo.hits.copy()
         self._session(NoiseSpec("dephase", 0.1, (1, 2)))
-        assert memo.misses - misses == {"_branches": 8 + 4}
+        assert memo.misses - misses == {"_corrected": 8, "_branches": 4}
         assert memo.hits["_solve"] - hits["_solve"] == 2
+        assert memo.hits["_schmidt"] - hits["_schmidt"] == 4 * 3 + 3 * 4
+        assert memo.hits["_dominance"] - hits["_dominance"] == 2
         new = set(memo) - first  # 8 pattern tables and 4 Born vectors on the noisy state
         assert len(new) == 12 and all(key[-2] == (16, 16) for key in new)
         assert sorted(len(key[1]) for key in new) == [2] * 4 + [3] * 4 + [4] * 4
@@ -308,30 +323,29 @@ class TestPatternMemo:
             pattern.corrections["00"] = "XX"
         with pytest.raises(TypeError):
             del pattern.corrections["00"]
-        for a in pattern._ops:  # flip and phase
-            assert not a.flags.writeable
-            with pytest.raises(ValueError):
-                a[0, 0] = 0
         assert not pattern.target.amplitudes.flags.writeable
 
     @pytest.mark.parametrize("build", [two_qubit_pattern, single_rotation_pattern])
-    def test_cache_clear_derives_again_bit_for_bit(self, build):
+    def test_cache_clear_derives_again_bit_for_bit(self, build, memo):
         instr = GateInstruction(PI, PI / 2)
         cached = build(instr)
+        table = _corrected(cached.steps, tuple(cached.corrections.values()), 4, cluster4().amplitudes)
         build.cache_clear()
         _pauli_kernel.cache_clear()
+        memo.clear()
         fresh = build(instr)
         assert fresh is not cached
         assert fresh.steps == cached.steps and fresh.output_qubits == cached.output_qubits
         assert list(fresh.corrections.items()) == list(cached.corrections.items())
         assert fresh.target.amplitudes.tobytes() == cached.target.amplitudes.tobytes()
-        assert fresh._ops[0] is not cached._ops[0]
-        for a, b in zip(fresh._ops, cached._ops):
+        again = _corrected(fresh.steps, tuple(fresh.corrections.values()), 4, cluster4().amplitudes)
+        assert again[0] is not table[0]
+        for a, b in zip(again, table):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_correction_matrices_follow_the_words(self):
         for pattern in _paper_patterns():
-            flip, phase = pattern._ops
+            flip, phase = _pauli_kernel(tuple(pattern.corrections.values()), len(pattern.output_qubits))
             for i, (branch, word) in enumerate(pattern.corrections.items()):
                 assert branch == format(i, f"0{len(pattern.steps)}b")
                 dense = np.zeros((flip.shape[1],) * 2, dtype=complex)
@@ -366,6 +380,62 @@ class TestCorrectionGather:
                 if noise is None:
                     out = execute(pattern, pure, branch=branch)[0].amplitudes
                     assert np.array_equal(out, op @ psis[i])
+
+
+def _grid_patterns():
+    """The 32 patterns of the angle grid {0, pi/2, -pi/2, pi}^2, both tasks."""
+    grid = [GateInstruction(a, b) for a in (0.0, PI / 2, -PI / 2, PI) for b in (0.0, PI / 2, -PI / 2, PI)]
+    return [build(i) for build in (two_qubit_pattern, single_rotation_pattern) for i in grid]
+
+
+def per_branch_gather(pattern, resource, index):
+    """One branch of `_branches`' table with its correction gathered alone,
+    (phase * psi)[flip] or (phase[:, None] * rho * phase.conj())[flip[:, None],
+    flip]: the output and probability the table of all branches must equal."""
+    tensor = _data(resource)
+    states, probs = _branches(pattern.steps, 4, tensor)
+    (flip,), (phase,) = _pauli_kernel((list(pattern.corrections.values())[index],), len(pattern.output_qubits))
+    state = states[index]
+    if tensor.ndim == 1:
+        return (phase * state)[flip], float(probs[index])
+    return (phase[:, None] * state * phase.conj())[flip[:, None], flip], float(probs[index])
+
+
+class TestCorrectedTable:
+    """The corrected outputs of all branches, built by one gather, are the
+    per-branch gathers bit for bit, and what callers get are copies."""
+
+    @pytest.mark.parametrize("noise", [None, "white:0.86", "dephase:0.05:1,2"])
+    def test_equals_per_branch_gather_bit_for_bit(self, noise):
+        pure = cluster4()
+        rho = pure.to_density() if noise is None else apply_noise(pure, NoiseSpec.parse(noise))
+        for pattern in _grid_patterns():
+            m = len(pattern.steps)
+            for i in range(2**m):
+                branch = format(i, f"0{m}b")
+                runs = [(execute_density, rho)] + [(execute, pure)] * (noise is None)
+                for run, resource in runs:
+                    out, outcomes, prob = run(pattern, resource, branch=branch)
+                    ref, ref_prob = per_branch_gather(pattern, resource, i)
+                    assert outcomes == branch and prob == ref_prob
+                    assert bitwise_equal(_data(out), ref)
+            if noise is None:
+                table = _branches(pattern.steps, 4, pure.amplitudes)
+                for seed in range(8):
+                    out, outcomes, prob = execute(pattern, pure, seed=seed)
+                    assert outcomes == _branch(table, None, seed)[0]
+                    assert bitwise_equal(out.amplitudes, per_branch_gather(pattern, pure, int(outcomes, 2))[0])
+
+    def test_outputs_are_copies(self, memo):
+        pattern = two_qubit_pattern(GateInstruction(0, PI / 2))
+        outputs = [
+            execute(pattern, cluster4(), branch="01")[0].amplitudes,
+            execute(pattern, cluster4(), seed=1)[0].amplitudes,
+            execute_density(pattern, cluster4().to_density(), "10")[0].entries,
+        ]
+        tables = [a for value, _ in memo.values() for a in value]
+        for out in outputs:
+            assert out.flags.owndata and not any(np.shares_memory(out, t) for t in tables)
 
 
 class TestCorrectionWords:

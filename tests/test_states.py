@@ -298,6 +298,16 @@ class TestSchmidt:
         coeffs = schmidt_coefficients(cluster4(), {1, 3})
         assert np.allclose(coeffs, [0.5, 0.5, 0.5, 0.5], atol=1e-10)
 
+    def test_returns_a_writable_copy_of_the_memoised_spectrum(self, memo):
+        coeffs = schmidt_coefficients(cluster4(), {3, 1})
+        assert coeffs.flags.writeable and coeffs.flags.owndata
+        coeffs[:] = 0.0
+        again = schmidt_coefficients(cluster4(), [1, 3, 1])
+        assert np.allclose(again, 0.5, atol=1e-10)
+        assert memo.misses == {"_schmidt": 1} and memo.hits == {"_schmidt": 1}
+        ((stored,), _), = memo.values()
+        assert not stored.flags.writeable and stored.tobytes() == again.tobytes()
+
     def test_cluster_partition_12(self):
         coeffs = schmidt_coefficients(cluster4(), {1, 2})
         assert np.allclose(coeffs, [S2, S2, 0, 0], atol=1e-10)
@@ -457,6 +467,18 @@ class TestMemo:
         assert _branches(steps, 3, rho.entries) is table
         assert memo.misses == {"_branches": 1} and memo.hits == {"_branches": 3}
 
+    def test_held_total_is_the_sum_of_the_sizes(self, rng, memo):
+        """The byte total lives on the dict in `_MEMO`: a swapped-in one starts
+        from 0, an emptied one counts again from 0."""
+        assert not hasattr(memo, "held")
+        for n in (2, 3, 9, 9, 2):
+            born_distribution(random_pure_state(n, rng), TomographicSetting("Z" * n))
+            assert memo.held == sum(size for _, size in memo.values())
+        assert memo.held == 3 * 4096 + 2 * 24 * 2**9
+        memo.clear()
+        born_distribution(random_pure_state(2, rng), TomographicSetting("ZZ"))
+        assert memo.held == 4096
+
     def test_no_key_holds_a_copy_of_the_state(self, rng, memo):
         pure, rho = random_pure_state(5, rng), random_density_matrix(3, rng)
         for state, tensor in ((pure, pure.amplitudes), (rho, rho.entries)):
@@ -484,8 +506,8 @@ class TestBranchThreshold:
         state = PureState.from_amplitudes(ket(one, one, [1, 0]))
         probs = _branches(steps, 3, state.amplitudes)[1]
         assert probs[3] == pytest.approx(1e-14, rel=1e-6)
-        assert _branch(steps, state, "01")[2] == pytest.approx(1e-7, rel=1e-6)
+        assert _branch(_branches(steps, 3, state.amplitudes), "01")[2] == pytest.approx(1e-7, rel=1e-6)
         with pytest.raises(ValueError, match="branch 11 has probability ~0"):
-            _branch(steps, state, "11")
+            _branch(_branches(steps, 3, state.amplitudes), "11")
         with pytest.raises(ValueError, match="branch 11 has probability ~0"):
-            _branch(steps, state.to_density(), "11")
+            _branch(_branches(steps, 3, state.to_density().entries), "11")

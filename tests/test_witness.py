@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import DensityMatrix, PauliString, cluster4, fidelity
+from clustersim.states import DensityMatrix, PauliString, cluster4, fidelity, named_state
 from clustersim.witness import (
     ObservableSum,
     TomographicSetting,
@@ -93,6 +93,18 @@ class TestDominance:
     def test_projector_against_itself(self):
         obs = cluster_projector_observable()
         assert verify_dominance(obs, cluster4()) == pytest.approx(0.0, abs=1e-10)
+
+    def test_qubit_counts_must_match(self):
+        with pytest.raises(ValueError, match="observable on 4 qubits, target on 1"):
+            verify_dominance(build_b2(), named_state("plus"))
+
+    def test_memoised_by_content(self, memo):
+        for _ in range(2):
+            assert verify_dominance(build_b2(), cluster4()) == verify_dominance(build_b2(), cluster4())
+        assert memo.misses == {"_dominance": 1} and memo.hits == {"_dominance": 3}
+        verify_dominance(build_b4(), cluster4())
+        verify_dominance(build_b2(), named_state("ghz4"))
+        assert memo.misses == {"_dominance": 3}
 
     def test_soundness_on_random_states(self, rng):
         b2, b4 = build_b2(), build_b4()
