@@ -146,11 +146,7 @@ def _mbqc_row(task, instr, resource):
     except ValueError as exc:  # only --alpha/--beta can ask for a gate the resource cannot realize
         raise UsageError(f"--alpha {instr.alpha!r} --beta {instr.beta!r}: {exc}")
     run_branch = execute if isinstance(resource, PureState) else execute_density
-    m = len(pattern.steps)
-    fids = [
-        fidelity(run_branch(pattern, resource, format(i, f"0{m}b"))[0], pattern.target)
-        for i in range(2**m)
-    ]
+    fids = [fidelity(run_branch(pattern, resource, b)[0], pattern.target) for b in pattern.corrections]
     return {
         "alpha": instr.alpha,
         "beta": instr.beta,
@@ -231,34 +227,30 @@ def build_parser() -> _Parser:
     p = sub.add_parser("witness", help="fidelity lower bounds from state or counts")
     p.add_argument("--noise", help="e.g. white:0.86 or dephase:0.05:1,2")
     p.add_argument("--counts", help="CSV file of coincidence counts")
-    p.add_argument("--out")
 
     p = sub.add_parser("schmidt", help="rank signatures and fidelity ceilings")
     p.add_argument("--fidelity", type=float, help="classify which classes this fidelity excludes")
-    p.add_argument("--out")
 
     p = sub.add_parser("mbqc", help="pattern fidelity tables")
     p.add_argument("--task", choices=["two-qubit", "single"], required=True)
     p.add_argument("--alpha")
     p.add_argument("--beta")
     p.add_argument("--noise")
-    p.add_argument("--out")
 
     p = sub.add_parser("bounds", help="classical no-entanglement fidelity bounds")
     p.add_argument("--task", choices=["two-qubit", "single"], required=True)
-    p.add_argument("--out")
 
     p = sub.add_parser("sample", help="write synthetic count CSVs")
     p.add_argument("--shots", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--noise")
     p.add_argument("--settings", help="comma-separated, e.g. XXZZ,ZZXX")
-    p.add_argument("--out")
 
     p = sub.add_parser("ingest", help="read count CSVs, print witness bounds")
     p.add_argument("--counts", required=True)
-    p.add_argument("--out")
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 

@@ -9,11 +9,11 @@ Derivation contracts once per instruction; execution and the reassignment
 check index one table per (pattern, resource), `_corrected`: every branch's
 corrected output and probability, the words applied in the binary form of
 `states._pauli_kernel` as one gather, memoised by content (`states._memoised`),
-so the tables on `cluster4()` serve the next session too. A branch less
-likely than `states._IMPOSSIBLE` is never taken. Each branch's correction is
-the first Pauli word, in I < X < Y < Z order, that maps it onto the
-circuit-model target state. Output states are fresh copies, valid by
-construction, that skip the public constructors' checks (see `states`).
+so the tables on `cluster4()` serve the next session too. Branch labels and
+Pauli word tables are one cached enumeration, `_words`. A branch less likely
+than `states._IMPOSSIBLE` is never taken. A branch's correction is the first
+Pauli word, in I < X < Y < Z order, that maps it onto the circuit-model target.
+Output states are fresh copies, valid by construction, unchecked (see `states`).
 """
 
 from __future__ import annotations
@@ -47,6 +47,12 @@ from .states import (
 FEEDFORWARD_FID_TOL = 1e-9
 
 
+@functools.lru_cache(maxsize=16)
+def _words(letters: str, k: int) -> tuple:
+    """Every k-letter word over `letters` in their order: branch labels, Pauli word tables."""
+    return tuple(map("".join, itertools.product(letters, repeat=k)))
+
+
 @dataclass(frozen=True)
 class GateInstruction:
     """The two measurement angles (alpha, beta) selecting a gate."""
@@ -71,8 +77,8 @@ class MeasurementPattern:
             raise ValueError("measured and output qubits must be disjoint")
         if measured | set(self.output_qubits) != set(range(1, self.resource_size + 1)):
             raise ValueError("steps and outputs must cover the register")
-        branches = ["".join(b) for b in itertools.product("01", repeat=len(self.steps))]
-        if sorted(self.corrections) != branches:
+        branches = _words("01", len(self.steps))
+        if sorted(self.corrections) != list(branches):
             raise ValueError("corrections must have one entry per outcome bitstring")
         k, words = len(self.output_qubits), tuple(self.corrections[b] for b in branches)
         for b, word in zip(branches, words):
@@ -94,11 +100,13 @@ def _corrected(steps: tuple, words: tuple, n: int, tensor: np.ndarray):
     return out[np.arange(len(flip))[:, None, None], flip[:, :, None], flip[:, None, :]], probs
 
 
-def _table(pattern: MeasurementPattern, resource):
-    """The pattern's memoised `_corrected` table on a pure or density resource."""
+def _table(pattern: MeasurementPattern, resource, kind):
+    """The pattern's memoised `_corrected` table on a resource of type `kind`."""
+    if not isinstance(resource, kind):
+        raise TypeError(f"unsupported state type {type(resource)}")
     if resource.n_qubits != pattern.resource_size:
         raise ValueError("resource size does not match pattern")
-    tensor = resource.entries if isinstance(resource, DensityMatrix) else resource.amplitudes
+    tensor = resource.entries if kind is DensityMatrix else resource.amplitudes
     return _corrected(pattern.steps, tuple(pattern.corrections.values()), resource.n_qubits, tensor)
 
 
@@ -110,11 +118,11 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     not Pauli-equivalent to the target (wrong pattern or resource)."""
     n_out, steps = len(output_qubits), tuple((q, b) for q, b in steps)
     states, probs = _branches.__wrapped__(steps, resource.n_qubits, resource.amplitudes)
-    words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))
+    words = _words("IXYZ", n_out)
     flip, phase = _pauli_kernel(words, n_out)
     overlaps = (target.amplitudes.conj()[flip] * phase) @ states.T  # <target|P_w, row w
     hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs >= _IMPOSSIBLE)
-    branches = ["".join(b) for b in itertools.product("01", repeat=len(steps))]
+    branches = _words("01", len(steps))
     if not hits.any(axis=0).all():
         raise ValueError(
             f"branch {branches[int(hits.any(axis=0).argmin())]}: no Pauli correction "
@@ -169,7 +177,7 @@ def execute(pattern: MeasurementPattern, resource: PureState, branch=None, seed=
     distribution using `seed`. Returns (corrected output state, outcome
     bitstring, branch probability).
     """
-    outcomes, psi, prob = _branch(_table(pattern, resource), branch, seed)
+    outcomes, psi, prob = _branch(_table(pattern, resource, PureState), branch, seed)
     return _trusted(PureState, len(pattern.output_qubits), np.array(psi)), outcomes, prob
 
 
@@ -178,7 +186,7 @@ def execute_density(pattern: MeasurementPattern, resource: DensityMatrix, branch
     must be explicit."""
     if branch is None:
         raise TypeError("execute_density needs an explicit branch")
-    outcomes, rho, prob = _branch(_table(pattern, resource), branch)
+    outcomes, rho, prob = _branch(_table(pattern, resource, DensityMatrix), branch)
     return _trusted(DensityMatrix, len(pattern.output_qubits), np.array(rho)), outcomes, prob
 
 
@@ -190,13 +198,12 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     its 4^k Pauli expectations and are fixed by them, so the check compares
     <P_b psi_b|Q|P_b psi_b> with <target|Q|target> for every word Q."""
     n_out = len(pattern.output_qubits)
-    corrected, probs = _table(pattern, resource)  # row b is P_b psi_b
+    corrected, probs = _table(pattern, resource, PureState)  # row b is P_b psi_b
     if (probs < _IMPOSSIBLE).any():
         raise ValueError("a branch of the pattern has probability ~0")
     reference = corrected[0] if pattern.target is None else pattern.target.amplitudes
     psi = np.vstack([reference, corrected])
-    words = tuple("".join(w) for w in itertools.product("IXYZ", repeat=n_out))  # derive_feedforward's table
-    q_flip, q_phase = _pauli_kernel(words, n_out)  # <psi|Q|psi> = sum_i psi*[flip_i] phase_i psi_i
+    q_flip, q_phase = _pauli_kernel(_words("IXYZ", n_out), n_out)  # <psi|Q|psi>: psi*[flip] phase psi
     e = np.einsum("bwi,wi,bi->bw", psi.conj()[:, q_flip], q_phase, psi).real
     return bool(np.all(np.abs(e[1:] - e[0]) <= 1e-9))
 

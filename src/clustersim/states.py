@@ -3,9 +3,9 @@
 Conventions used throughout the package:
   * Qubit 1 is the most significant bit of the amplitude index, so the
     Pauli word "ZZII" reads left-to-right as Z on qubits 1 and 2.
-  * A Pauli word acts in its binary form (x_mask, z_mask, #Y), bit n - q of
-    x_mask (z_mask) set where qubit q carries X or Y (Z or Y): it maps basis
-    index i to i ^ x_mask with phase i^#Y (-1)^parity(i & z_mask).
+  * A Pauli word acts only in its binary form (x_mask, z_mask, #Y), never as a
+    dense matrix: bit n - q of x_mask (z_mask) is set where qubit q carries X or
+    Y (Z or Y), and it maps index i to i ^ x_mask with phase i^#Y (-1)^parity(i & z_mask).
   * Basis label 0 is |H> (horizontal polarization), 1 is |V>.
   * Measuring in X, Y or Z, outcome bit 0 is the +1 eigenvector (|H>, |+>,
     |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
@@ -18,10 +18,10 @@ qubit measured in label order gives the Born vector (`counts.born_distribution`)
 `_branch` picks one branch of a table, `measure` is its one-step call and
 `mbqc` runs whole patterns on it. A branch less likely than _IMPOSSIBLE is
 impossible where a branch is used (`_branch`, `mbqc`); the table, and so every
-Born vector, keeps it. Results live in one memo, `_memoised`, with Schmidt
-spectra, `mbqc`'s tables, dominance and `classical_bound`'s solves: read-only,
-keyed by the arguments and a digest of the state read in place (no copy), LRU
-in 1 MiB (or one larger entry), an entry counted as >= 4 KiB. Callers get copies.
+Born vector, keeps it. Results live in one single-threaded memo, `_memoised`,
+with Schmidt spectra, `mbqc`'s tables, dominance and `classical_bound`'s solves:
+read-only, keyed by the arguments and a digest of the state read in place (no
+copy), LRU in 1 MiB (or one larger entry), an entry >= 4 KiB. Callers get copies.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
@@ -138,13 +138,6 @@ class PauliString:
         if not self.word or any(c not in "IXYZ" for c in self.word):
             raise ValueError(f"invalid Pauli word {self.word!r}")
 
-    def dense(self) -> np.ndarray:
-        """The 2^n x 2^n matrix: the kernel's phase scattered to (flip[i], i)."""
-        (flip,), (phase,) = _pauli_kernel((self.word,), len(self.word))
-        op = np.zeros((flip.size, flip.size), dtype=complex)
-        op[flip, np.arange(flip.size)] = phase
-        return self.coefficient * op
-
 
 @dataclass(frozen=True)
 class LocalBasis:
@@ -209,8 +202,8 @@ def _memoised(compute):
     """`compute(*args, tensor)` (a tuple) memoised in `_MEMO` under (its name,
     the hashable args, the C-contiguous tensor's shape and SHA-256 digest read
     in place): its arrays made read-only, shared by all callers; a miss evicts
-    oldest-first. The byte total is held on the dict (a dict swapped in keeps
-    its own; an emptied one restarts at 0). `__wrapped__` skips the memo."""
+    oldest-first. Single-threaded: the byte total is held on the dict with no lock
+    (a dict swapped in keeps its own; an emptied one restarts at 0). `__wrapped__` skips it."""
     @functools.wraps(compute)
     def lookup(*args):
         memo = _MEMO
@@ -275,10 +268,10 @@ def _branches(steps: tuple, n: int, tensor: np.ndarray):
 
 def _branch(table, bits=None, seed=None):
     """One branch of a table (states, probs) of m measurements, as `_branches`
-    returns: (bitstring, its read-only state, probability). Without `bits`,
-    bit k is drawn in step order with one `rng.random()` r as
-    r (p0 + p1) >= p0, p0 and p1 the probabilities of its two continuations.
-    A branch less likely than _IMPOSSIBLE is an error."""
+    returns: (bitstring, its read-only state, probability). `bits` is a 0/1
+    string, used as is, or a sequence of bits; without it, bit k is drawn in
+    step order with one `rng.random()` r as r (p0 + p1) >= p0, p0 and p1 the
+    probabilities of its two continuations. Below _IMPOSSIBLE a branch is an error."""
     states, probs = table
     m = probs.size.bit_length() - 1
     if bits is None:
@@ -288,7 +281,7 @@ def _branch(table, bits=None, seed=None):
             p0, p1 = probs.reshape(2**k, -1)[i : i + 2].sum(1)
             bits += "01"[int(rng.random() * (p0 + p1) >= p0)]
     else:
-        bits = "".join(str(int(b)) for b in bits)
+        bits = bits if isinstance(bits, str) else "".join(str(int(b)) for b in bits)
         if set(bits) - set("01"):
             raise ValueError("outcome bits must be 0 or 1")
         if len(bits) != m:

@@ -3,7 +3,8 @@
 Two few-setting observables give lower bounds on the cluster-state
 fidelity: a six-term one needing two measurement settings and an
 eight-term one needing four settings; both are dominated by the cluster
-projector (`verify_dominance`, memoised), so they never exceed the fidelity.
+projector, so they never exceed the fidelity (`verify_dominance`, memoised: the
+offset I plus each term's `states._pauli_kernel` phases scattered, in term order).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PauliString, PureState, _memoised, pauli_expectation
+from .states import PauliString, PureState, _memoised, _pauli_kernel, pauli_expectation
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,6 @@ class ObservableSum:
     def n_qubits(self) -> int:
         return len(self.terms[0].word)
 
-    def dense(self) -> np.ndarray:
-        dim = 2**self.n_qubits
-        op = self.identity_offset * np.eye(dim, dtype=complex)
-        for term in self.terms:
-            op += term.dense()
-        return op
-
 
 @dataclass(frozen=True)
 class TomographicSetting:
@@ -54,9 +48,7 @@ class TomographicSetting:
 
     def covers(self, word: str) -> bool:
         """True if `word` is obtained from this setting by replacing letters with I."""
-        return len(word) == len(self.bases) and all(
-            w == "I" or w == b for w, b in zip(word, self.bases)
-        )
+        return len(word) == len(self.bases) and _join(self.bases, word) == self.bases
 
 
 def build_b2() -> ObservableSum:
@@ -90,7 +82,11 @@ def verify_dominance(b: ObservableSum, target: PureState) -> float:
 
 @_memoised
 def _dominance(b: ObservableSum, amps: np.ndarray):
-    return (float(np.linalg.eigvalsh(np.outer(amps, amps.conj()) - b.dense())[0]),)
+    flip, phase = _pauli_kernel(tuple(t.word for t in b.terms), b.n_qubits)
+    op = b.identity_offset * np.eye(flip.shape[1], dtype=complex)
+    for term, f, p in zip(b.terms, flip, phase):
+        op[f, np.arange(f.size)] += term.coefficient * p
+    return (float(np.linalg.eigvalsh(np.outer(amps, amps.conj()) - op)[0]),)
 
 
 def _join(a: str, b: str) -> str | None:

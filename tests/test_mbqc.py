@@ -25,7 +25,6 @@ from clustersim.states import (
     RX,
     RZ,
     LocalBasis,
-    PauliString,
     PureState,
     apply_gate,
     cluster4,
@@ -350,7 +349,6 @@ class TestPatternMemo:
                 assert branch == format(i, f"0{len(pattern.steps)}b")
                 dense = np.zeros((flip.shape[1],) * 2, dtype=complex)
                 dense[flip[i], np.arange(flip.shape[1])] = phase[i]  # P|j> = phase[j] |flip[j]>
-                assert np.array_equal(dense, PauliString(word).dense())
                 assert np.array_equal(dense, dense_pauli(word))
 
 
@@ -597,6 +595,24 @@ class TestNoisyExecution:
             out_p, _, prob_p = execute(pattern, cluster4(), branch=branch)
             assert prob_d == pytest.approx(prob_p, abs=1e-12)
             assert fidelity(out_d, out_p) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestResourceType:
+    """A pattern run on the wrong state type is a TypeError, not a malformed state."""
+
+    def test_execute_needs_a_pure_state(self):
+        rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
+        with pytest.raises(TypeError, match="unsupported state type"):
+            execute(two_qubit_pattern(GateInstruction(0, 0)), rho, branch="00")
+
+    def test_execute_density_needs_a_density_matrix(self):
+        with pytest.raises(TypeError, match="unsupported state type"):
+            execute_density(two_qubit_pattern(GateInstruction(0, 0)), cluster4(), "00")
+
+    def test_reassignment_check_needs_a_pure_state(self):
+        rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
+        with pytest.raises(TypeError, match="unsupported state type"):
+            basis_reassignment_check(two_qubit_pattern(GateInstruction(0, 0)), rho)
 
 
 class TestBasisReassignment:

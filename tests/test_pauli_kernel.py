@@ -1,13 +1,15 @@
 """The binary (x, z) Pauli kernel at every site that applies a Pauli word,
-checked against dense Kronecker products on random words and states."""
+checked against dense Kronecker products on random words and states. The
+`dense` site is the one operator built from Pauli words, the dominance
+operator of `verify_dominance`, checked bit for bit against the Kronecker sum."""
 
 import numpy as np
 import pytest
 
 from clustersim.counts import CountRecord, expectation_from_counts
 from clustersim.noise import NoiseSpec, apply_noise
-from clustersim.states import CZ, PauliString, apply_gate, pauli_expectation
-from clustersim.witness import TomographicSetting
+from clustersim.states import CZ, PauliString, apply_gate, cluster4, named_state, pauli_expectation
+from clustersim.witness import ObservableSum, TomographicSetting, build_b2, build_b4, verify_dominance
 from conftest import dense_pauli, random_density_matrix, random_pure_state
 
 SITES = ["pure", "mixed", "apply_gate", "cz", "dephase", "counts", "dense"]
@@ -15,6 +17,16 @@ SITES = ["pure", "mixed", "apply_gate", "cz", "dephase", "counts", "dense"]
 
 def random_word(rng, n: int, letters: str = "IXYZ") -> str:
     return "".join(rng.choice(list(letters), size=n))
+
+
+def dominance_by_kron(b: ObservableSum, target) -> float:
+    """Smallest eigenvalue of |t><t| - (offset I + sum of c dense_pauli(w)),
+    the terms added in order."""
+    op = b.identity_offset * np.eye(2**b.n_qubits, dtype=complex)
+    for term in b.terms:
+        op += term.coefficient * dense_pauli(term.word)
+    t = target.amplitudes
+    return float(np.linalg.eigvalsh(np.outer(t, t.conj()) - op)[0])
 
 
 def cz_by_loop(amps: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
@@ -82,4 +94,11 @@ def test_kernel_against_kron_oracle(site, n):
             rec = CountRecord(TomographicSetting(setting), counts)
             assert expectation_from_counts(rec, word) == pytest.approx((value, sigma), abs=1e-12)
         else:
-            assert np.array_equal(PauliString(word, coeff).dense(), coeff * dense_pauli(word))
+            words = [word] + [random_word(rng, n) for _ in range(rng.integers(0, 6))]
+            b = ObservableSum(tuple(PauliString(w, float(rng.uniform(-1, 1))) for w in words), coeff)
+            target = random_pure_state(n, rng)
+            assert verify_dominance(b, target) == dominance_by_kron(b, target)
+    if site == "dense" and n == 4:
+        for target in (cluster4(), named_state("ghz4")):
+            for b in (build_b2(), build_b4()):
+                assert verify_dominance(b, target) == dominance_by_kron(b, target)

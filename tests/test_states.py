@@ -511,3 +511,20 @@ class TestBranchThreshold:
             _branch(_branches(steps, 3, state.amplitudes), "11")
         with pytest.raises(ValueError, match="branch 11 has probability ~0"):
             _branch(_branches(steps, 3, state.to_density().entries), "11")
+
+    def test_string_and_sequence_bits_pick_the_same_branch(self):
+        table = _branches(((1, LocalBasis.x()), (2, LocalBasis.z())), 4, cluster4().amplitudes)
+        picks = [_branch(table, bits) for bits in ("01", (0, 1), [0, 1])]
+        for outcome, state, p in picks:
+            assert outcome == "01" and p == picks[0][2]
+            assert state.tobytes() == picks[0][1].tobytes()
+
+    def test_bad_bits_keep_their_messages(self):
+        two = _branches(((1, LocalBasis.x()), (2, LocalBasis.z())), 4, cluster4().amplitudes)
+        one = _branches(((1, LocalBasis.x()),), 4, cluster4().amplitudes)
+        with pytest.raises(ValueError, match="^outcome bits must be 0 or 1$"):
+            _branch(two, "2")
+        with pytest.raises(ValueError, match="^1 outcome bits expected, got '10'$"):
+            _branch(one, "10")
+        with pytest.raises(ValueError, match="^outcome bits must be 0 or 1$"):
+            _branch(two, (0, 2))

@@ -12,7 +12,7 @@ from clustersim.witness import (
     verify_dominance,
     witness_expectation,
 )
-from conftest import observable_from_json, observable_to_json, random_density_matrix
+from conftest import dense_pauli, observable_from_json, observable_to_json, random_density_matrix
 
 
 def cluster_projector_observable() -> ObservableSum:
@@ -27,7 +27,7 @@ def cluster_projector_observable() -> ObservableSum:
         for _ in range(4):
             word = letters[k % 4] + word
             k //= 4
-        coeff = float(np.real(np.trace(PauliString(word).dense() @ proj))) / 16
+        coeff = float(np.real(np.trace(dense_pauli(word) @ proj))) / 16
         if word != "IIII" and abs(coeff) > 1e-12:
             terms.append(PauliString(word, coeff))
     offset = float(np.real(np.trace(proj))) / 16
