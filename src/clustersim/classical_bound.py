@@ -132,6 +132,6 @@ def _solve(nblocks: int, amps: np.ndarray):
 def margin_report(measured_mean: float, measured_err: float, bound: float) -> float:
     """Signed distance of a measured average fidelity above the classical
     bound, in units of the quoted standard deviation."""
-    if measured_err <= 0:
-        raise ValueError("measurement error must be positive")
+    if not (np.isfinite(measured_mean) and 0 < measured_err < np.inf):  # NaN fails both
+        raise ValueError("measured mean must be finite and its error finite and positive")
     return (measured_mean - bound) / measured_err

@@ -189,6 +189,10 @@ def _cmd_bounds(args) -> dict:
 
 
 def _cmd_sample(args) -> str:
+    if not 1 <= args.shots <= 2**63 - 1:  # numpy draws at most a C long of events
+        raise UsageError(f"--shots must lie in 1..2**63 - 1, got {args.shots}")
+    if args.seed < 0:
+        raise UsageError("--seed must be nonnegative")
     state = _resource_state(args.noise)
     if args.settings is None:
         settings = [s.bases for s in required_settings(build_b4())]
@@ -260,16 +264,10 @@ def run(argv) -> int:
         args = parser.parse_args(_attach_angle_values(argv))
         if args.subcommand is None:
             raise UsageError("a subcommand is required")
-        if args.subcommand == "sample":
-            if not 1 <= args.shots <= 2**63 - 1:  # numpy draws at most a C long of events
-                raise UsageError(f"--shots must lie in 1..2**63 - 1, got {args.shots}")
-            if args.seed < 0:
-                raise UsageError("--seed must be nonnegative")
-            output = _cmd_sample(args)
-        else:
-            handler = {"witness": _cmd_witness, "schmidt": _cmd_schmidt, "mbqc": _cmd_mbqc,
-                       "bounds": _cmd_bounds, "ingest": _cmd_ingest}[args.subcommand]
-            output = json.dumps(handler(args), indent=2) + "\n"
+        handler = {"witness": _cmd_witness, "schmidt": _cmd_schmidt, "mbqc": _cmd_mbqc, "bounds": _cmd_bounds,
+                   "sample": _cmd_sample, "ingest": _cmd_ingest}[args.subcommand]
+        output = handler(args)  # CSV text, or a dict printed as JSON
+        output = output if isinstance(output, str) else json.dumps(output, indent=2) + "\n"
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

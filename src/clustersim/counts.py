@@ -15,6 +15,7 @@ past 2**63 - 1 is an error, not a wrap. CSV errors name their line.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import itertools
 import math
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import _field
-from .states import DensityMatrix, LocalBasis, PauliString, PureState, _branches, _pauli_kernel
+from .states import LocalBasis, PauliString, _array, _branches, _pauli_kernel
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
@@ -57,10 +58,10 @@ class CountRecord:
 
 def outcome_string(setting: TomographicSetting, index: int) -> str:
     """Label like '++HH' for an outcome index under the given setting."""
-    n = len(setting.bases)
-    return "".join(
-        _OUTCOME_LETTERS[b][(index >> (n - 1 - i)) & 1] for i, b in enumerate(setting.bases)
-    )
+    labels = _labels(setting.bases)
+    if not 0 <= index < len(labels):
+        raise ValueError(f"outcome index {index} out of range 0..{len(labels) - 1}")
+    return labels[index]
 
 
 def outcome_index(setting: TomographicSetting, label: str) -> int:
@@ -80,12 +81,9 @@ def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
     """Exact outcome probabilities for measuring every qubit in its setting
     basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector): the probs
     of the memoised all-qubit branch table, `states._branches`."""
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"unsupported state type {type(state)}")
-    n = state.n_qubits
+    tensor, n = _array(state), state.n_qubits
     if len(setting.bases) != n:
         raise ValueError(f"setting {setting.bases!r} does not match a register of {n} qubits")
-    tensor = state.amplitudes if isinstance(state, PureState) else state.entries
     steps = tuple((q, LocalBasis(b)) for q, b in enumerate(setting.bases, 1))
     return _branches(steps, n, tensor)[1].copy()
 
@@ -193,7 +191,8 @@ def parse_counts(text: str) -> list[CountRecord]:
                 raise ValueError("expected 3 fields")
             setting_str, outcome, count_str = (c.strip() for c in row)
             if setting_str not in accum:  # one setting and label map per distinct setting
-                accum[setting_str] = TomographicSetting(setting_str), _labels(setting_str), [0] * 2 ** len(setting_str)
+                setting, labels = TomographicSetting(setting_str), _labels(setting_str)
+                accum[setting_str] = setting, dict(zip(labels, itertools.count())), [0] * len(labels)
             setting, index, counts = accum[setting_str]
             count = _field(int, count_str, "count {!r} is not an integer")
             if count < 0:
@@ -208,9 +207,10 @@ def parse_counts(text: str) -> list[CountRecord]:
     return [CountRecord(setting, counts) for setting, _, counts in accum.values()]
 
 
-def _labels(bases: str) -> dict:
-    """{outcome label: index} of a setting, in index order (`outcome_string`)."""
-    return dict(zip(map("".join, itertools.product(*(_OUTCOME_LETTERS[b] for b in bases))), itertools.count()))
+@functools.lru_cache(maxsize=64)
+def _labels(bases: str) -> tuple:
+    """A setting's outcome labels in index order, the one label table."""
+    return tuple(map("".join, itertools.product(*(_OUTCOME_LETTERS[b] for b in bases))))
 
 
 def serialize_counts(records: list[CountRecord]) -> str:

@@ -34,6 +34,7 @@ from .states import (
     LocalBasis,
     PureState,
     _IMPOSSIBLE,
+    _array,
     _branch,
     _branches,
     _memoised,
@@ -102,11 +103,9 @@ def _corrected(steps: tuple, words: tuple, n: int, tensor: np.ndarray):
 
 def _table(pattern: MeasurementPattern, resource, kind):
     """The pattern's memoised `_corrected` table on a resource of type `kind`."""
-    if not isinstance(resource, kind):
-        raise TypeError(f"unsupported state type {type(resource)}")
+    tensor = _array(resource, kind)
     if resource.n_qubits != pattern.resource_size:
         raise ValueError("resource size does not match pattern")
-    tensor = resource.entries if kind is DensityMatrix else resource.amplitudes
     return _corrected(pattern.steps, tuple(pattern.corrections.values()), resource.n_qubits, tensor)
 
 

@@ -3,9 +3,10 @@
 Conventions used throughout the package:
   * Qubit 1 is the most significant bit of the amplitude index, so the
     Pauli word "ZZII" reads left-to-right as Z on qubits 1 and 2.
-  * A Pauli word acts only in its binary form (x_mask, z_mask, #Y), never as a
-    dense matrix: bit n - q of x_mask (z_mask) is set where qubit q carries X or
-    Y (Z or Y), and it maps index i to i ^ x_mask with phase i^#Y (-1)^parity(i & z_mask).
+  * Every operator (Pauli word, RZ, RX, CZ) is an index flip plus phases, never a
+    matrix. A word's binary form (x_mask, z_mask, #Y) maps index i to i ^ x_mask with
+    phase i^#Y (-1)^parity(i & z_mask), bit n - q of x_mask (z_mask) set where qubit q
+    carries X or Y (Z or Y); RZ(t), RX(t) = cos(t/2) - i sin(t/2) P, P = Z, X; CZ is a sign mask.
   * Basis label 0 is |H> (horizontal polarization), 1 is |V>.
   * Measuring in X, Y or Z, outcome bit 0 is the +1 eigenvector (|H>, |+>,
     |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
@@ -297,22 +298,16 @@ def _branch(table, bits=None, seed=None):
 
 @dataclass(frozen=True)
 class RZ:
-    theta: float
+    """exp(-i theta Z / 2)."""
 
-    def matrix(self) -> np.ndarray:
-        return np.array(
-            [[np.exp(-1j * self.theta / 2), 0.0], [0.0, np.exp(1j * self.theta / 2)]],
-            dtype=complex,
-        )
+    theta: float
 
 
 @dataclass(frozen=True)
 class RX:
-    theta: float
+    """exp(-i theta X / 2)."""
 
-    def matrix(self) -> np.ndarray:
-        c, s = math.cos(self.theta / 2), math.sin(self.theta / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+    theta: float
 
 
 class CZ:
@@ -399,8 +394,8 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
     if isinstance(gate, (RZ, RX)):
         if len(qubits) != 1:
             raise ValueError("rotation gates act on exactly one qubit")
-        tensor = np.tensordot(gate.matrix(), amps.reshape((2,) * n), axes=([1], [qubits[0] - 1]))
-        amps = np.moveaxis(tensor, 0, qubits[0] - 1).reshape(-1)
+        (flip,), (phase,) = _pauli_kernel(("Z" if isinstance(gate, RZ) else "X",), n, tuple(qubits))
+        amps = math.cos(gate.theta / 2) * amps - 1j * math.sin(gate.theta / 2) * (phase * amps)[flip]
     elif gate is CZ or isinstance(gate, CZ):
         if len(qubits) != 2:
             raise ValueError("CZ takes exactly two qubit labels")
@@ -417,31 +412,34 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
     return _trusted(PureState, n, amps)
 
 
+def _array(state, kinds=(PureState, DensityMatrix)) -> np.ndarray:
+    """The amplitudes (ndim 1) or entries (ndim 2) of a state of one of `kinds`."""
+    if not isinstance(state, kinds):
+        raise TypeError(f"unsupported state type {type(state)}")
+    return state.amplitudes if isinstance(state, PureState) else state.entries
+
+
 def fidelity(a, target: PureState) -> float:
     """<target| a |target>; for a pure state, the squared overlap magnitude."""
-    if not isinstance(a, (PureState, DensityMatrix)):
-        raise TypeError(f"unsupported state type {type(a)}")
+    arr, t = _array(a), target.amplitudes
     if a.n_qubits != target.n_qubits:
         raise ValueError("qubit counts do not match")
-    if isinstance(a, PureState):
-        return float(abs(np.vdot(target.amplitudes, a.amplitudes)) ** 2)
-    t = target.amplitudes
-    return float(np.real(np.vdot(t, a.entries @ t)))
+    if arr.ndim == 1:
+        return float(abs(np.vdot(t, arr)) ** 2)
+    return float(np.real(np.vdot(t, arr @ t)))
 
 
 def pauli_expectation(state, p) -> float:
     """Expectation value of a Pauli string (coefficient included), in O(2^n):
     Tr(P rho) = sum_i phase[i] rho[i, flip[i]] on a density matrix."""
     p = p if isinstance(p, PauliString) else PauliString(p)
-    if not isinstance(state, (PureState, DensityMatrix)):
-        raise TypeError(f"unsupported state type {type(state)}")
+    arr = _array(state)
     if len(p.word) != state.n_qubits:
         raise ValueError("word length does not match register")
     (flip,), (phase,) = _pauli_kernel((p.word,), state.n_qubits)
-    if isinstance(state, PureState):
-        psi = state.amplitudes
-        return p.coefficient * float(np.real(np.vdot(psi, (phase * psi)[flip])))
-    return p.coefficient * float(np.real(np.dot(phase, state.entries[np.arange(flip.size), flip])))
+    if arr.ndim == 1:
+        return p.coefficient * float(np.real(np.vdot(arr, (phase * arr)[flip])))
+    return p.coefficient * float(np.real(np.dot(phase, arr[np.arange(flip.size), flip])))
 
 
 def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=None):
@@ -451,11 +449,10 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
     from the Born distribution using `seed`. Returns (probability, outcome,
     collapsed state on the remaining qubits, in their original order).
     """
-    if not isinstance(state, PureState):
-        raise TypeError(f"unsupported state type {type(state)}")
+    psi = _array(state, PureState)
     _check_qubits((qubit,), state.n_qubits)
     bits = None if select is None else (select,)
-    outcome, amps, p = _branch(_branches(((qubit, basis),), state.n_qubits, state.amplitudes), bits, seed)
+    outcome, amps, p = _branch(_branches(((qubit, basis),), state.n_qubits, psi), bits, seed)
     return p, int(outcome), _trusted(PureState, state.n_qubits - 1, np.array(amps))
 
 

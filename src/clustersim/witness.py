@@ -25,10 +25,10 @@ class ObservableSum:
 
     def __post_init__(self):
         terms = tuple(self.terms)
-        if terms:
-            length = len(terms[0].word)
-            if any(len(t.word) != length for t in terms):
-                raise ValueError("all Pauli words must have equal length")
+        if not terms:
+            raise ValueError("an observable needs at least one Pauli term")
+        if any(len(t.word) != len(terms[0].word) for t in terms):
+            raise ValueError("all Pauli words must have equal length")
         object.__setattr__(self, "terms", terms)
 
     @property

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from collections import Counter, OrderedDict
 from functools import lru_cache
 
@@ -9,7 +10,7 @@ import pytest
 
 from clustersim import states
 from clustersim.classical_bound import MAX_TARGETS
-from clustersim.states import DensityMatrix, LocalBasis, PauliString, PureState, _pauli_kernel
+from clustersim.states import RZ, DensityMatrix, LocalBasis, PauliString, PureState, _pauli_kernel
 from clustersim.witness import ObservableSum
 
 
@@ -52,6 +53,23 @@ def dense_pauli(word: str) -> np.ndarray:
     for c in word:
         op = np.kron(op, mats[c])
     return op
+
+
+def dense_rotation(state: PureState, gate, qubit: int) -> np.ndarray:
+    """RZ(theta) = diag(e^{-i theta/2}, e^{i theta/2}) or RX(theta) as a 2x2
+    matrix contracted on the qubit's axis, the oracle for `apply_gate`."""
+    c, s = math.cos(gate.theta / 2), math.sin(gate.theta / 2)
+    if isinstance(gate, RZ):
+        mat = np.diag([np.exp(-1j * gate.theta / 2), np.exp(1j * gate.theta / 2)])
+    else:
+        mat = np.array([[c, -1j * s], [-1j * s, c]])
+    tensor = np.tensordot(mat, state.amplitudes.reshape((2,) * state.n_qubits), axes=([1], [qubit - 1]))
+    return np.moveaxis(tensor, 0, qubit - 1).reshape(-1)
+
+
+def wrong_type(obj) -> str:
+    """The whole TypeError text that every state reader raises on `obj`, as a pattern."""
+    return "^" + re.escape(f"unsupported state type {type(obj)}") + "$"
 
 
 _BIT_OF = {"H": 0, "V": 1, "0": 0, "1": 1}

@@ -260,3 +260,6 @@ class TestMarginReport:
     def test_nonpositive_error(self):
         with pytest.raises(ValueError):
             margin_report(0.9, 0.0, 0.85)
+        for mean, err in ((0.9, math.nan), (math.nan, 0.01), (0.9, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                margin_report(mean, err, 0.85)

@@ -47,6 +47,7 @@ from conftest import (
     random_density_matrix,
     random_pure_state,
     whole_born,
+    wrong_type,
 )
 
 
@@ -219,6 +220,8 @@ class TestBornMemo:
             sample_counts(cluster4(), TomographicSetting("XXZ"), 10, seed=0)
         with pytest.raises(TypeError, match="unsupported state type"):
             exact_record(cluster4().amplitudes, TomographicSetting("XXZZ"))
+        with pytest.raises(TypeError, match=wrong_type(cluster4().amplitudes)):
+            born_distribution(cluster4().amplitudes, TomographicSetting("XXZZ"))
 
 
 class TestSampling:
@@ -577,6 +580,14 @@ class TestCsv:
         (record,) = parse_counts(text)
         assert record.total == 2**63 - 1
         assert record.counts.max() == 2**63 - 2
+
+    def test_outcome_index_out_of_range(self):
+        """An index outside 0..2^n - 1 is an error, not the label of index mod 2^n."""
+        setting = TomographicSetting("XXZZ")
+        assert outcome_string(setting, np.int64(15)) == "--VV"
+        for index in (16, -1, -16, 2**40):
+            with pytest.raises(ValueError, match=rf"^outcome index {index} out of range 0\.\.15$"):
+                outcome_string(setting, index)
 
     def test_outcome_labels(self):
         setting = TomographicSetting("YXZY")

@@ -44,6 +44,7 @@ from conftest import (
     random_pure_state,
     sequential_branch,
     sequential_sample,
+    wrong_type,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -604,15 +605,21 @@ class TestResourceType:
         rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
         with pytest.raises(TypeError, match="unsupported state type"):
             execute(two_qubit_pattern(GateInstruction(0, 0)), rho, branch="00")
+        with pytest.raises(TypeError, match=wrong_type(cluster4().amplitudes)):
+            execute(two_qubit_pattern(GateInstruction(0, 0)), cluster4().amplitudes, branch="00")
 
     def test_execute_density_needs_a_density_matrix(self):
         with pytest.raises(TypeError, match="unsupported state type"):
             execute_density(two_qubit_pattern(GateInstruction(0, 0)), cluster4(), "00")
+        with pytest.raises(TypeError, match=wrong_type(cluster4().amplitudes)):
+            execute_density(two_qubit_pattern(GateInstruction(0, 0)), cluster4().amplitudes, "00")
 
     def test_reassignment_check_needs_a_pure_state(self):
         rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
         with pytest.raises(TypeError, match="unsupported state type"):
             basis_reassignment_check(two_qubit_pattern(GateInstruction(0, 0)), rho)
+        with pytest.raises(TypeError, match=wrong_type(cluster4().amplitudes)):
+            basis_reassignment_check(two_qubit_pattern(GateInstruction(0, 0)), cluster4().amplitudes)
 
 
 class TestBasisReassignment:

@@ -29,6 +29,7 @@ from conftest import (
     basis_index,
     bitwise_equal,
     dense_pauli,
+    dense_rotation,
     ket,
     pure_state_from_json,
     pure_state_to_json,
@@ -37,6 +38,7 @@ from conftest import (
     tensordot_measure,
     whole_born,
     whole_hermitian_gap,
+    wrong_type,
 )
 
 S2 = 1 / math.sqrt(2)
@@ -118,6 +120,17 @@ class TestApplyGate:
         out = apply_gate(state, "XZ", [1, 2])
         oracle = dense_pauli("XZ") @ state.amplitudes
         assert np.allclose(out.amplitudes, oracle, atol=1e-12)
+
+    @pytest.mark.parametrize("gate", [RZ, RX])
+    def test_rotations_match_dense_oracle(self, gate, rng):
+        """cos(theta/2) psi - i sin(theta/2) P psi through the Pauli kernel
+        equals the 2x2 matrix on the qubit's axis, on every qubit at n = 1..6."""
+        for n in range(1, 7):
+            state = random_pure_state(n, rng)
+            for theta in (0.0, math.pi / 2, -math.pi / 2, math.pi, 2 * math.pi, rng.uniform(-10, 10)):
+                for qubit in range(1, n + 1):
+                    out = apply_gate(state, gate(theta), [qubit]).amplitudes
+                    assert np.max(np.abs(out - dense_rotation(state, gate(theta), qubit))) <= 1e-15
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -283,6 +296,9 @@ class TestMeasure:
     def test_density_matrix_rejected(self, rng):
         with pytest.raises(TypeError, match="unsupported state type"):
             measure(random_density_matrix(2, rng), 1, LocalBasis.z(), select=0)
+        amps = cluster4().amplitudes
+        with pytest.raises(TypeError, match=wrong_type(amps)):
+            measure(amps, 1, LocalBasis.z(), select=0)
 
     def test_bad_outcome_and_qubit_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
@@ -336,6 +352,16 @@ class TestSchmidt:
             b = schmidt_coefficients(t, {1, 2})
             assert fidelity(s, t) <= float(np.dot(a, b)) ** 2 + 1e-9
 
+
+
+class TestStateType:
+    def test_fidelity_and_expectation_name_the_type(self):
+        """The one reader's TypeError, whole, from both value readers."""
+        amps = cluster4().amplitudes
+        with pytest.raises(TypeError, match=wrong_type(amps)):
+            fidelity(amps, cluster4())
+        with pytest.raises(TypeError, match=wrong_type(amps)):
+            pauli_expectation(amps, "ZZII")
 
 class TestNormPreservation:
     @given(theta=st.floats(-10, 10))

@@ -55,6 +55,11 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ObservableSum((PauliString("ZZ"), PauliString("ZZZ")))
 
+    def test_empty_observable_rejected(self):
+        """No term gives no register size: a named error, not an IndexError later."""
+        with pytest.raises(ValueError, match="an observable needs at least one Pauli term"):
+            ObservableSum(())
+
 
 class TestExpectation:
     def test_ideal_cluster(self):
