@@ -16,7 +16,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .states import PureState, _memoised, _trusted
+from .states import PureState, _array, _memoised, _trusted
 
 MAX_TARGETS = 12  # 12 targets in 4 blocks solve in about 25 ms (2 vCPU, numpy 2.4)
 
@@ -35,12 +35,10 @@ def optimal_group_state(states: list[PureState]):
     mean projector. Returns (state, mean fidelity = top eigenvalue)."""
     if not states:
         raise ValueError("group must be nonempty")
-    dim = states[0].amplitudes.size
-    if any(s.amplitudes.size != dim for s in states):
+    amps = [_array(s, PureState) for s in states]
+    if any(a.size != amps[0].size for a in amps):
         raise ValueError("states must have equal dimension")
-    mean_proj = sum(
-        np.outer(s.amplitudes, s.amplitudes.conj()) for s in states
-    ) / len(states)
+    mean_proj = sum(np.outer(a, a.conj()) for a in amps) / len(amps)
     vals, vecs = np.linalg.eigh(mean_proj)
     return PureState.from_amplitudes(vecs[:, -1]), float(vals[-1])
 
@@ -72,9 +70,10 @@ def classical_bound(targets: list[PureState], bits: int):
     n = len(targets)
     if not 1 <= n <= MAX_TARGETS:
         raise ValueError(f"need 1 to {MAX_TARGETS} targets")
-    if len({s.amplitudes.size for s in targets}) > 1:
+    amps = [_array(s, PureState) for s in targets]
+    if len({a.size for a in amps}) > 1:
         raise ValueError("targets must have equal dimension")
-    return _solve(min(1 << min(int(bits), n), n), np.stack([s.amplitudes for s in targets]))
+    return _solve(min(1 << min(int(bits), n), n), np.stack(amps))
 
 
 @_memoised

@@ -210,7 +210,7 @@ def _cmd_sample(args) -> str:
 
 def _read_counts(path: str):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a spreadsheet's byte-order mark is not data
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}")

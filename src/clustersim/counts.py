@@ -2,20 +2,19 @@
 outcome probabilities, and Pauli expectations and witness bounds with
 one multinomial variance per record, covariance included.
 
-Outcome labels per local basis: Z -> H/V, X -> +/-, Y -> R/L, with the
-first label (bit 0) being the +1 eigenvector of the corresponding Pauli
-operator. Outcomes are indexed with qubit 1 as the most significant bit.
+Outcome labels per local basis: Z -> H/V, X -> +/-, Y -> R/L, label (bit) 0
+the +1 eigenvector of the Pauli; qubit 1 is the most significant bit of an
+outcome index, and a setting's label table is `states._words` of its letters.
 
 A Born vector is the probs of the all-qubit branch table of its setting
-(`states._branches`), so it is computed once per (state, setting) and is one
-memo entry with that table. Counts are int64; a count or a setting's total
-past 2**63 - 1 is an error, not a wrap. CSV errors name their line.
+(`states._branches`): one memo entry per (state, setting). Counts are int64;
+a count or a setting's total past 2**63 - 1 is an error, not a wrap, and a
+setting has at most 16 qubits (2^16 labels). CSV errors name their line.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import itertools
 import math
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import _field
-from .states import LocalBasis, PauliString, _array, _branches, _pauli_kernel
+from .states import LocalBasis, PauliString, _array, _branches, _pauli_kernel, _words
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
@@ -128,13 +127,10 @@ def probabilities(rec: CountRecord) -> np.ndarray:
 
 
 def expectation_from_counts(rec: CountRecord, word) -> tuple[float, float]:
-    """Pauli expectation and its standard error from counts: `_estimate` of
-    one term. The word must be the record's setting with letters replaced by I.
-    """
-    word_str = getattr(word, "word", word)
-    if not rec.setting.covers(word_str):
-        raise ValueError(f"word {word_str!r} incompatible with setting {rec.setting.bases}")
-    return _estimate([rec], ObservableSum((PauliString(word_str),)))
+    """Pauli expectation and its standard error from counts, `_estimate` of one
+    term: a word or a `PauliString` (coefficient kept) that is the record's
+    setting with letters replaced by I."""
+    return _estimate([rec], ObservableSum((word if isinstance(word, PauliString) else PauliString(word),)))
 
 
 def witness_from_counts(records: list[CountRecord], b: ObservableSum) -> tuple[float, float]:
@@ -207,10 +203,9 @@ def parse_counts(text: str) -> list[CountRecord]:
     return [CountRecord(setting, counts) for setting, _, counts in accum.values()]
 
 
-@functools.lru_cache(maxsize=64)
 def _labels(bases: str) -> tuple:
-    """A setting's outcome labels in index order, the one label table."""
-    return tuple(map("".join, itertools.product(*(_OUTCOME_LETTERS[b] for b in bases))))
+    """A setting's outcome labels in index order, from the one cached table `states._words`."""
+    return _words(tuple(_OUTCOME_LETTERS[b] for b in bases))
 
 
 def serialize_counts(records: list[CountRecord]) -> str:

@@ -3,23 +3,22 @@
 A pattern is an ordered list of single-qubit measurements plus a read-only
 table of outcome-conditioned Pauli correction words on the output qubits. It
 depends only on its angles, so both builders are memoised per instruction
-(32 each). The measurements run on `states`' one contraction for local
-measurements (`_branches`), which gives every outcome branch at once.
-Derivation contracts once per instruction; execution and the reassignment
+(32 each). The measurements run on `states._branches`, every outcome branch at
+once. Derivation contracts once per instruction; execution and the reassignment
 check index one table per (pattern, resource), `_corrected`: every branch's
 corrected output and probability, the words applied in the binary form of
 `states._pauli_kernel` as one gather, memoised by content (`states._memoised`),
 so the tables on `cluster4()` serve the next session too. Branch labels and
-Pauli word tables are one cached enumeration, `_words`. A branch less likely
-than `states._IMPOSSIBLE` is never taken. A branch's correction is the first
-Pauli word, in I < X < Y < Z order, that maps it onto the circuit-model target.
-Output states are fresh copies, valid by construction, unchecked (see `states`).
+Pauli word tables come from `states._words`. A plan's measured and output
+qubits are 1..n, each once (`_check_plan`, also run by `derive_feedforward`).
+A branch less likely than `states._IMPOSSIBLE` is never taken. A branch's
+correction is the first Pauli word (I < X < Y < Z) that maps it onto the
+circuit-model target. Outputs are fresh copies, valid by construction, unchecked.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -37,9 +36,11 @@ from .states import (
     _array,
     _branch,
     _branches,
+    _check_qubits,
     _memoised,
     _pauli_kernel,
     _trusted,
+    _words,
     apply_gate,
     cluster4,
     named_state,
@@ -48,10 +49,11 @@ from .states import (
 FEEDFORWARD_FID_TOL = 1e-9
 
 
-@functools.lru_cache(maxsize=16)
-def _words(letters: str, k: int) -> tuple:
-    """Every k-letter word over `letters` in their order: branch labels, Pauli word tables."""
-    return tuple(map("".join, itertools.product(letters, repeat=k)))
+def _check_plan(steps, outputs, n: int) -> None:
+    """Raise unless the measured qubits, then the output qubits, are 1..n, each once."""
+    _check_qubits([q for q, _ in steps] + list(outputs), n)
+    if len(steps) + len(outputs) != n:
+        raise ValueError(f"steps and outputs must cover the register 1..{n}")
 
 
 @dataclass(frozen=True)
@@ -73,12 +75,8 @@ class MeasurementPattern:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple((q, b) for q, b in self.steps))
         object.__setattr__(self, "output_qubits", tuple(self.output_qubits))
-        measured = {q for q, _ in self.steps}
-        if measured & set(self.output_qubits):
-            raise ValueError("measured and output qubits must be disjoint")
-        if measured | set(self.output_qubits) != set(range(1, self.resource_size + 1)):
-            raise ValueError("steps and outputs must cover the register")
-        branches = _words("01", len(self.steps))
+        _check_plan(self.steps, self.output_qubits, self.resource_size)
+        branches = _words(("01",) * len(self.steps))
         if sorted(self.corrections) != list(branches):
             raise ValueError("corrections must have one entry per outcome bitstring")
         k, words = len(self.output_qubits), tuple(self.corrections[b] for b in branches)
@@ -115,13 +113,15 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     target (fidelity above 1 - FEEDFORWARD_FID_TOL), trying all words on all
     branches in one batched product. Raises if some branch is impossible or
     not Pauli-equivalent to the target (wrong pattern or resource)."""
+    psi, t = _array(resource, PureState), _array(target, PureState)
     n_out, steps = len(output_qubits), tuple((q, b) for q, b in steps)
-    states, probs = _branches.__wrapped__(steps, resource.n_qubits, resource.amplitudes)
-    words = _words("IXYZ", n_out)
+    _check_plan(steps, output_qubits, resource.n_qubits)
+    states, probs = _branches.__wrapped__(steps, resource.n_qubits, psi)
+    words = _words(("IXYZ",) * n_out)
     flip, phase = _pauli_kernel(words, n_out)
-    overlaps = (target.amplitudes.conj()[flip] * phase) @ states.T  # <target|P_w, row w
+    overlaps = (t.conj()[flip] * phase) @ states.T  # <target|P_w, row w
     hits = (np.abs(overlaps) ** 2 > 1 - FEEDFORWARD_FID_TOL) & (probs >= _IMPOSSIBLE)
-    branches = _words("01", len(steps))
+    branches = _words(("01",) * len(steps))
     if not hits.any(axis=0).all():
         raise ValueError(
             f"branch {branches[int(hits.any(axis=0).argmin())]}: no Pauli correction "
@@ -200,9 +200,9 @@ def basis_reassignment_check(pattern: MeasurementPattern, resource: PureState) -
     corrected, probs = _table(pattern, resource, PureState)  # row b is P_b psi_b
     if (probs < _IMPOSSIBLE).any():
         raise ValueError("a branch of the pattern has probability ~0")
-    reference = corrected[0] if pattern.target is None else pattern.target.amplitudes
+    reference = corrected[0] if pattern.target is None else _array(pattern.target, PureState)
     psi = np.vstack([reference, corrected])
-    q_flip, q_phase = _pauli_kernel(_words("IXYZ", n_out), n_out)  # <psi|Q|psi>: psi*[flip] phase psi
+    q_flip, q_phase = _pauli_kernel(_words(("IXYZ",) * n_out), n_out)  # <psi|Q|psi>: psi*[flip] phase psi
     e = np.einsum("bwi,wi,bi->bw", psi.conj()[:, q_flip], q_phase, psi).real
     return bool(np.all(np.abs(e[1:] - e[0]) <= 1e-9))
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import _ROW_BLOCK, DensityMatrix, PureState, _check_qubits, _pauli_kernel, _trusted
+from .states import _ROW_BLOCK, DensityMatrix, PureState, _array, _check_qubits, _pauli_kernel, _trusted
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ def _field(convert, text: str, message: str):
 
 def apply_noise(state: PureState, spec: NoiseSpec) -> DensityMatrix:
     """Apply the channel to a pure state, returning a density matrix."""
-    n = state.n_qubits
-    rho = np.outer(state.amplitudes, state.amplitudes.conj())
+    psi, n = _array(state, PureState), state.n_qubits
+    rho = np.outer(psi, psi.conj())
     if spec.kind == "white":
         rho = spec.p * rho + (1 - spec.p) * np.eye(2**n, dtype=complex) / 2**n
     else:

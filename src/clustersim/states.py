@@ -26,15 +26,16 @@ copy), LRU in 1 MiB (or one larger entry), an entry >= 4 KiB. Callers get copies
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and eigvalsh
-positivity, each written so that NaN fails it. States built from valid ones
-in `apply_gate`, `measure`, `to_density`, `noise.apply_noise` and
-`mbqc.execute[_density]` skip them through `_trusted`.
+positivity, each written so that NaN fails it; states built from valid ones
+skip them (`_trusted`). Every state argument is read by `_array` (a wrong type
+is its TypeError), a Pauli word by `PauliString`, qubit labels by `_check_qubits`.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -88,7 +89,8 @@ class PureState:
         return _trusted(DensityMatrix, self.n_qubits, np.outer(self.amplitudes, self.amplitudes.conj()))
 
     def tensor(self, other: "PureState") -> "PureState":
-        return PureState(self.n_qubits + other.n_qubits, np.kron(self.amplitudes, other.amplitudes))
+        amps = np.kron(self.amplitudes, _array(other, PureState))
+        return PureState(self.n_qubits + other.n_qubits, amps)
 
 
 @dataclass(frozen=True)
@@ -324,9 +326,7 @@ def _pauli_kernel(words: tuple, n: int, qubits: tuple | None = None):
     phase[w, i] |flip[w, i]>, with flip = i ^ x_mask and phase = i^(#Y + 2
     parity(i & z_mask)), parity by XOR-folding. Cached, as words recur."""
     masks = []
-    for word in words:
-        if set(word) - set("IXYZ"):
-            raise ValueError(f"invalid Pauli word {word!r}")
+    for word in words:  # each read by `PauliString` or `mbqc.MeasurementPattern`, or built by the library
         x = z = 0
         for letter, q in zip(word, qubits or range(1, n + 1)):
             x |= (letter in "XY") << (n - q)
@@ -341,6 +341,12 @@ def _pauli_kernel(words: tuple, n: int, qubits: tuple | None = None):
     flip, phase = idx ^ x, np.array([1, 1j, -1, -1j])[(2 * v + n_y) & 3]
     flip.flags.writeable = phase.flags.writeable = False
     return flip, phase
+
+
+@functools.lru_cache(maxsize=64)
+def _words(alphabets: tuple) -> tuple:
+    """Every word with letter k from alphabets[k], in their order: branch labels, Pauli words, outcome labels."""
+    return tuple(map("".join, itertools.product(*alphabets)))
 
 
 # --- named resource states ---------------------------------------------
@@ -377,7 +383,9 @@ def named_state(name: str) -> PureState:
 
 
 def _check_qubits(qubits, n: int) -> None:
-    """Raise on the first qubit label outside 1..n."""
+    """Raise on a repeated qubit label, then on the first outside 1..n."""
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("qubit labels must be distinct")
     for q in qubits:
         if not 1 <= q <= n:
             raise ValueError(f"qubit label {q} out of range 1..{n}")
@@ -385,12 +393,8 @@ def _check_qubits(qubits, n: int) -> None:
 
 def apply_gate(state: PureState, gate, qubits) -> PureState:
     """Apply RZ/RX/CZ or a Pauli word to the given qubit labels (1-based)."""
-    n = state.n_qubits
-    qubits = list(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("qubit labels must be distinct")
+    amps, n, qubits = np.array(_array(state, PureState)), state.n_qubits, list(qubits)
     _check_qubits(qubits, n)
-    amps = np.array(state.amplitudes)
     if isinstance(gate, (RZ, RX)):
         if len(qubits) != 1:
             raise ValueError("rotation gates act on exactly one qubit")
@@ -402,7 +406,7 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
         idx = np.arange(amps.size)
         amps *= 1 - 2 * ((idx >> (n - qubits[0])) & (idx >> (n - qubits[1])) & 1)
     elif isinstance(gate, (str, PauliString)):
-        word = gate.word if isinstance(gate, PauliString) else gate
+        word = (gate if isinstance(gate, PauliString) else PauliString(gate)).word
         if len(word) != len(qubits):
             raise ValueError("Pauli word length must match qubit list")
         (flip,), (phase,) = _pauli_kernel((word,), n, tuple(qubits))
@@ -421,7 +425,7 @@ def _array(state, kinds=(PureState, DensityMatrix)) -> np.ndarray:
 
 def fidelity(a, target: PureState) -> float:
     """<target| a |target>; for a pure state, the squared overlap magnitude."""
-    arr, t = _array(a), target.amplitudes
+    arr, t = _array(a), _array(target, PureState)
     if a.n_qubits != target.n_qubits:
         raise ValueError("qubit counts do not match")
     if arr.ndim == 1:
@@ -458,12 +462,11 @@ def measure(state: PureState, qubit: int, basis: LocalBasis, select=None, seed=N
 
 def schmidt_coefficients(state: PureState, partition) -> np.ndarray:
     """Descending Schmidt coefficients for a bipartition given by qubit labels (a copy)."""
-    n = state.n_qubits
-    part = sorted(set(partition))
+    amps, n, part = _array(state, PureState), state.n_qubits, sorted(set(partition))
     if not part or len(part) >= n:
         raise ValueError("partition must be a nonempty proper subset")
     _check_qubits(part, n)
-    return _schmidt(tuple(part), n, state.amplitudes)[0].copy()
+    return _schmidt(tuple(part), n, amps)[0].copy()
 
 
 @_memoised

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PauliString, PureState, _memoised, _pauli_kernel, pauli_expectation
+from .states import PauliString, PureState, _array, _memoised, _pauli_kernel, pauli_expectation
 
 
 @dataclass(frozen=True)
@@ -41,10 +41,13 @@ class TomographicSetting:
     """One local Pauli basis per qubit, e.g. 'XXZZ'."""
 
     bases: str
+    _MAX_QUBITS = 16  # its outcome-label table holds 2^n labels, 4.6 MiB at 16
 
     def __post_init__(self):
         if not self.bases or any(c not in "XYZ" for c in self.bases):
             raise ValueError(f"invalid setting {self.bases!r}")
+        if len(self.bases) > self._MAX_QUBITS:
+            raise ValueError(f"a setting on {len(self.bases)} qubits exceeds the limit of {self._MAX_QUBITS}")
 
     def covers(self, word: str) -> bool:
         """True if `word` is obtained from this setting by replacing letters with I."""
@@ -75,9 +78,10 @@ def witness_expectation(state, b: ObservableSum) -> float:
 def verify_dominance(b: ObservableSum, target: PureState) -> float:
     """Smallest eigenvalue of |target><target| - B (nonnegative iff B is a
     valid fidelity lower bound), memoised by B and the target's content."""
+    amps = _array(target, PureState)
     if b.n_qubits != target.n_qubits:
         raise ValueError(f"observable on {b.n_qubits} qubits, target on {target.n_qubits}")
-    return _dominance(b, target.amplitudes)[0]
+    return _dominance(b, amps)[0]
 
 
 @_memoised

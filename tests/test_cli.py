@@ -269,13 +269,26 @@ class TestSampleIngest:
 
     @pytest.mark.parametrize(
         "row,message",
-        [("xxzz,++HH,3", "invalid setting 'xxzz'"), ("XXZZ,++HQ,3", "outcome letter 'Q' invalid for basis Z")],
+        [
+            ("xxzz,++HH,3", "invalid setting 'xxzz'"),
+            ("XXZZ,++HQ,3", "outcome letter 'Q' invalid for basis Z"),
+            ("X" * 26 + "," + "+" * 26 + ",1", "a setting on 26 qubits exceeds the limit of 16"),
+        ],
     )
     def test_bad_setting_or_outcome_names_the_line(self, row, message, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text(f"setting,outcome,count\nXXZZ,++HH,5\n{row}\n")
         assert run(["ingest", "--counts", str(bad)]) == 2
         assert capsys.readouterr().err == f"data error: line 3: {message}\n"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A spreadsheet's UTF-8 byte-order mark before the header reads as the plain file."""
+        plain, marked = tmp_path / "counts.csv", tmp_path / "bom.csv"
+        assert run(["sample", "--shots", "1000", "--out", str(plain)]) == 0
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        capsys.readouterr()
+        plain_obj, marked_obj = (run_json(capsys, ["ingest", "--counts", str(p)]) for p in (plain, marked))
+        assert (marked_obj["b2"], marked_obj["b4"]) == (plain_obj["b2"], plain_obj["b4"])
 
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

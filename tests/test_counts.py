@@ -531,6 +531,7 @@ class TestCsv:
             ("XXZZ,++HQ,3", "outcome letter 'Q' invalid for basis Z"),
             ("XXZZ,++H,3", "outcome '\\+\\+H' has wrong length"),
             ("XXZZ,++HH,3.5", "count '3.5' is not an integer"),
+            ("X" * 26 + "," + "+" * 26 + ",1", "a setting on 26 qubits exceeds the limit of 16"),
         ],
     )
     def test_errors_name_the_line(self, row, message):

@@ -620,6 +620,17 @@ class TestResourceType:
             basis_reassignment_check(two_qubit_pattern(GateInstruction(0, 0)), rho)
         with pytest.raises(TypeError, match=wrong_type(cluster4().amplitudes)):
             basis_reassignment_check(two_qubit_pattern(GateInstruction(0, 0)), cluster4().amplitudes)
+        p = two_qubit_pattern(GateInstruction(0, 0))
+        mixed_target = MeasurementPattern(4, p.steps, p.output_qubits, p.corrections, p.target.to_density())
+        with pytest.raises(TypeError, match=wrong_type(mixed_target.target)):
+            basis_reassignment_check(mixed_target, cluster4())
+
+    def test_derivation_needs_pure_states(self):
+        pattern = two_qubit_pattern(GateInstruction(0, 0))
+        rho = cluster4().to_density()
+        for resource, target in ((rho, pattern.target), (cluster4(), pattern.target.to_density())):
+            with pytest.raises(TypeError, match=wrong_type(rho)):
+                derive_feedforward(pattern.steps, pattern.output_qubits, resource, target)
 
 
 class TestBasisReassignment:
@@ -726,6 +737,29 @@ class TestPatternValidation:
         pattern = two_qubit_pattern(GateInstruction(0, 0))
         with pytest.raises(ValueError):
             MeasurementPattern(4, pattern.steps, (2, 4), pattern.corrections)
+        twice = {b: "I" for b in ("00", "01", "10", "11")}
+        with pytest.raises(ValueError, match="^qubit labels must be distinct$"):
+            MeasurementPattern(2, [(1, LocalBasis.x()), (1, LocalBasis.y())], (2,), twice)
+
+    @pytest.mark.parametrize(
+        "qubits,outputs,message",
+        [
+            ((2, 2), (1, 4), "^qubit labels must be distinct$"),
+            ((2, 3), (3, 4), "^qubit labels must be distinct$"),
+            ((2, 5), (1, 4), "^qubit label 5 out of range 1..4$"),
+            ((0, 3), (1, 4), "^qubit label 0 out of range 1..4$"),
+            ((2,), (1, 4), "^steps and outputs must cover the register 1..4$"),
+        ],
+    )
+    def test_bad_plan_rejected_by_pattern_and_derivation(self, qubits, outputs, message):
+        """A qubit measured twice, measured and output, outside 1..4 or left
+        out is the one plan check's error, before any contraction."""
+        steps = tuple((q, LocalBasis.planar_std(0.0)) for q in qubits)
+        corrections = {"".join(b): "I" * len(outputs) for b in itertools.product("01", repeat=len(steps))}
+        with pytest.raises(ValueError, match=message):
+            MeasurementPattern(4, steps, outputs, corrections)
+        with pytest.raises(ValueError, match=message):
+            derive_feedforward(steps, outputs, cluster4(), target_two_qubit(GateInstruction(0, 0)))
 
     def test_incomplete_corrections_rejected(self):
         pattern = two_qubit_pattern(GateInstruction(0, 0))

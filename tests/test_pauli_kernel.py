@@ -93,6 +93,8 @@ def test_kernel_against_kron_oracle(site, n):
             sigma = np.sqrt(np.dot(counts, (signs - value) ** 2)) / counts.sum()
             rec = CountRecord(TomographicSetting(setting), counts)
             assert expectation_from_counts(rec, word) == pytest.approx((value, sigma), abs=1e-12)
+            scaled = expectation_from_counts(rec, PauliString(word, coeff))
+            assert scaled == pytest.approx((coeff * value, abs(coeff) * sigma), abs=1e-12)
         else:
             words = [word] + [random_word(rng, n) for _ in range(rng.integers(0, 6))]
             b = ObservableSum(tuple(PauliString(w, float(rng.uniform(-1, 1))) for w in words), coeff)

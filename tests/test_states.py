@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustersim.classical_bound import classical_bound, optimal_group_state
 from clustersim.counts import born_distribution
+from clustersim.entclass import fidelity_ceiling, rank_signature
+from clustersim.noise import NoiseSpec, apply_noise
 from clustersim.states import (
     CZ,
     RX,
@@ -23,7 +26,7 @@ from clustersim.states import (
     schmidt_coefficients,
 )
 from clustersim.states import _branch, _branches
-from clustersim.witness import TomographicSetting
+from clustersim.witness import TomographicSetting, build_b4, verify_dominance
 from conftest import (
     amplitude,
     basis_index,
@@ -202,6 +205,8 @@ class TestPauliExpectation:
                 pauli_expectation(state, "ZZIA")
         with pytest.raises(ValueError, match="invalid Pauli word"):
             apply_gate(cluster4(), "Q", [1])
+        with pytest.raises(ValueError, match="^invalid Pauli word 'QZ'$"):
+            apply_gate(cluster4(), "QZ", [1, 2])
 
 
 class TestLocalBasis:
@@ -362,6 +367,27 @@ class TestStateType:
             fidelity(amps, cluster4())
         with pytest.raises(TypeError, match=wrong_type(amps)):
             pauli_expectation(amps, "ZZII")
+
+    def test_every_pure_state_argument_names_the_type(self):
+        """A density matrix where a pure state is read: the one reader's
+        TypeError, whole, at every such argument outside `mbqc`."""
+        rho = cluster4().to_density()
+        calls = [
+            lambda: cluster4().tensor(rho),
+            lambda: apply_gate(rho, CZ, [1, 2]),
+            lambda: fidelity(cluster4(), rho),
+            lambda: schmidt_coefficients(rho, {1, 2}),
+            lambda: rank_signature(rho),
+            lambda: fidelity_ceiling(rho, (1, 2), 2),
+            lambda: apply_noise(rho, NoiseSpec("white", 0.9)),
+            lambda: apply_noise(rho, NoiseSpec("dephase", 0.1, (1,))),
+            lambda: verify_dominance(build_b4(), rho),
+            lambda: optimal_group_state([cluster4(), rho]),
+            lambda: classical_bound([cluster4(), rho], 1),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=wrong_type(rho)):
+                call()
 
 class TestNormPreservation:
     @given(theta=st.floats(-10, 10))

@@ -165,6 +165,15 @@ class TestTomographicSetting:
         with pytest.raises(ValueError):
             TomographicSetting("XXIZ")
 
+    def test_at_most_16_qubits(self):
+        """A setting's label table has 2^n entries, so its length is bounded;
+        invalid letters are named first."""
+        assert TomographicSetting("Z" * 16).bases == "Z" * 16
+        with pytest.raises(ValueError, match="^a setting on 17 qubits exceeds the limit of 16$"):
+            TomographicSetting("Z" * 17)
+        with pytest.raises(ValueError, match="^invalid setting 'Q"):
+            TomographicSetting("Q" * 26)
+
 
 class TestSerialization:
     def test_round_trip(self):
