@@ -20,7 +20,7 @@ from .counts import (
     serialize_counts,
     witness_from_counts,
 )
-from .entclass import RankSignature, classify_by_fidelity, fidelity_ceiling, rank_signature
+from .entclass import classify_by_fidelity, fidelity_ceiling, rank_signature
 from .mbqc import (
     SINGLE_QUBIT_INSTRUCTIONS,
     TWO_QUBIT_INSTRUCTIONS,

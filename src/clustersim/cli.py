@@ -27,6 +27,14 @@ from .states import PureState, cluster4, fidelity, named_state
 from .witness import build_b2, build_b4, required_settings, witness_expectation
 
 
+# Each paper task: (pattern builder, target builder, instruction sweep, the
+# measured mean fidelity and its error).
+_TASKS = {
+    "two-qubit": (two_qubit_pattern, target_two_qubit, TWO_QUBIT_INSTRUCTIONS, (0.895, 0.010)),
+    "single": (single_rotation_pattern, target_single, SINGLE_QUBIT_INSTRUCTIONS, (0.926, 0.010)),
+}
+
+
 class UsageError(Exception):
     pass
 
@@ -140,9 +148,9 @@ def _cmd_schmidt(args) -> dict:
     return out
 
 
-def _mbqc_row(task, instr, resource):
+def _mbqc_row(build_pattern, instr, resource):
     try:
-        pattern = two_qubit_pattern(instr) if task == "two-qubit" else single_rotation_pattern(instr)
+        pattern = build_pattern(instr)
     except ValueError as exc:  # only --alpha/--beta can ask for a gate the resource cannot realize
         raise UsageError(f"--alpha {instr.alpha!r} --beta {instr.beta!r}: {exc}")
     run_branch = execute if isinstance(resource, PureState) else execute_density
@@ -158,26 +166,18 @@ def _mbqc_row(task, instr, resource):
 def _cmd_mbqc(args) -> dict:
     if (args.alpha is None) != (args.beta is None):
         raise UsageError("--alpha and --beta must be given together")
+    build_pattern, _, instructions, _ = _TASKS[args.task]
     if args.alpha is not None:
         alpha, beta = parse_angle(args.alpha, "--alpha"), parse_angle(args.beta, "--beta")
         instructions = [GateInstruction(alpha, beta)]
-    elif args.task == "two-qubit":
-        instructions = list(TWO_QUBIT_INSTRUCTIONS)
-    else:
-        instructions = list(SINGLE_QUBIT_INSTRUCTIONS)
     resource = _resource_state(args.noise)
-    rows = [_mbqc_row(args.task, instr, resource) for instr in instructions]
+    rows = [_mbqc_row(build_pattern, instr, resource) for instr in instructions]
     return {"command": "mbqc", "task": args.task, "noise": args.noise, "rows": rows}
 
 
 def _cmd_bounds(args) -> dict:
-    if args.task == "two-qubit":
-        targets = [target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS]
-        measured = (0.895, 0.010)
-    else:
-        targets = [target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS]
-        measured = (0.926, 0.010)
-    value, strategy = classical_bound(targets, bits=2)
+    _, target, instructions, measured = _TASKS[args.task]
+    value, strategy = classical_bound([target(i) for i in instructions], bits=2)
     return {
         "command": "bounds",
         "task": args.task,
@@ -236,13 +236,13 @@ def build_parser() -> _Parser:
     p.add_argument("--fidelity", type=float, help="classify which classes this fidelity excludes")
 
     p = sub.add_parser("mbqc", help="pattern fidelity tables")
-    p.add_argument("--task", choices=["two-qubit", "single"], required=True)
+    p.add_argument("--task", choices=list(_TASKS), required=True)
     p.add_argument("--alpha")
     p.add_argument("--beta")
     p.add_argument("--noise")
 
     p = sub.add_parser("bounds", help="classical no-entanglement fidelity bounds")
-    p.add_argument("--task", choices=["two-qubit", "single"], required=True)
+    p.add_argument("--task", choices=list(_TASKS), required=True)
 
     p = sub.add_parser("sample", help="write synthetic count CSVs")
     p.add_argument("--shots", type=int, default=100000)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .noise import _field
-from .states import LocalBasis, PauliString, _array, _branches, _pauli_kernel, _words
+from .states import LocalBasis, _array, _branches, _pauli_kernel, _words
 from .witness import ObservableSum, TomographicSetting, required_settings
 
 _OUTCOME_LETTERS = {"Z": "HV", "X": "+-", "Y": "RL"}
@@ -130,7 +130,7 @@ def expectation_from_counts(rec: CountRecord, word) -> tuple[float, float]:
     """Pauli expectation and its standard error from counts, `_estimate` of one
     term: a word or a `PauliString` (coefficient kept) that is the record's
     setting with letters replaced by I."""
-    return _estimate([rec], ObservableSum((word if isinstance(word, PauliString) else PauliString(word),)))
+    return _estimate([rec], ObservableSum((word,)))
 
 
 def witness_from_counts(records: list[CountRecord], b: ObservableSum) -> tuple[float, float]:
@@ -154,6 +154,10 @@ def _estimate(records: list[CountRecord], b: ObservableSum) -> tuple[float, floa
     for term in b.terms:
         rec = next((r for r in records if r.setting.covers(term.word)), None)
         if rec is None:
+            widths = sorted({len(r.setting.bases) for r in records})
+            if widths and b.n_qubits not in widths:
+                have = " or ".join(map(str, widths))
+                raise ValueError(f"term {term.word!r} has {b.n_qubits} qubits; the records' settings have {have}")
             needed = [s.bases for s in required_settings(b)]
             raise ValueError(f"no record covers term {term.word!r}; settings needed: {needed}")
         _check_counted(rec)

@@ -3,8 +3,6 @@ among four-qubit states, from the memoised spectra of `states.schmidt_coefficien
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .states import PureState, schmidt_coefficients
@@ -22,18 +20,12 @@ GENUINE_THRESHOLD = 0.5
 RANK3_THRESHOLD = 0.75
 
 
-class RankSignature(NamedTuple):
-    r12: int
-    r13: int
-    r14: int
-
-
-def rank_signature(state: PureState) -> RankSignature:
-    """Schmidt ranks above RANK_TOL across the three two-two partitions of a 4-qubit state."""
+def rank_signature(state: PureState) -> tuple[int, int, int]:
+    """(r12, r13, r14): Schmidt ranks above RANK_TOL across the three two-two cuts of a 4-qubit state."""
     if state.n_qubits != 4:
         raise ValueError("rank_signature requires a 4-qubit state")
     spectra = (schmidt_coefficients(state, part) for part in PAIR_PARTITIONS.values())
-    return RankSignature(*(int(np.sum(s > RANK_TOL)) for s in spectra))
+    return tuple(int(np.sum(s > RANK_TOL)) for s in spectra)
 
 
 def fidelity_ceiling(target: PureState, partition, k: int) -> float:

@@ -10,7 +10,8 @@ corrected output and probability, the words applied in the binary form of
 `states._pauli_kernel` as one gather, memoised by content (`states._memoised`),
 so the tables on `cluster4()` serve the next session too. Branch labels and
 Pauli word tables come from `states._words`. A plan's measured and output
-qubits are 1..n, each once (`_check_plan`, also run by `derive_feedforward`).
+qubits are 1..n, each once, and its target has one qubit per output qubit
+(`_check_plan`, also run by `derive_feedforward`).
 A branch less likely than `states._IMPOSSIBLE` is never taken. A branch's
 correction is the first Pauli word (I < X < Y < Z) that maps it onto the
 circuit-model target. Outputs are fresh copies, valid by construction, unchecked.
@@ -49,11 +50,13 @@ from .states import (
 FEEDFORWARD_FID_TOL = 1e-9
 
 
-def _check_plan(steps, outputs, n: int) -> None:
-    """Raise unless the measured qubits, then the output qubits, are 1..n, each once."""
+def _check_plan(steps, outputs, n: int, target) -> None:
+    """Raise unless the measured, then the output qubits are 1..n, each once, and a target fits the outputs."""
     _check_qubits([q for q, _ in steps] + list(outputs), n)
     if len(steps) + len(outputs) != n:
         raise ValueError(f"steps and outputs must cover the register 1..{n}")
+    if target is not None and len(_array(target)) != 2 ** len(outputs):
+        raise ValueError(f"target width {target.n_qubits} does not match output width {len(outputs)}")
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,7 @@ class MeasurementPattern:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple((q, b) for q, b in self.steps))
         object.__setattr__(self, "output_qubits", tuple(self.output_qubits))
-        _check_plan(self.steps, self.output_qubits, self.resource_size)
+        _check_plan(self.steps, self.output_qubits, self.resource_size, self.target)
         branches = _words(("01",) * len(self.steps))
         if sorted(self.corrections) != list(branches):
             raise ValueError("corrections must have one entry per outcome bitstring")
@@ -115,7 +118,7 @@ def derive_feedforward(steps, output_qubits, resource: PureState, target: PureSt
     not Pauli-equivalent to the target (wrong pattern or resource)."""
     psi, t = _array(resource, PureState), _array(target, PureState)
     n_out, steps = len(output_qubits), tuple((q, b) for q, b in steps)
-    _check_plan(steps, output_qubits, resource.n_qubits)
+    _check_plan(steps, output_qubits, resource.n_qubits, target)
     states, probs = _branches.__wrapped__(steps, resource.n_qubits, psi)
     words = _words(("IXYZ",) * n_out)
     flip, phase = _pauli_kernel(words, n_out)
@@ -153,7 +156,7 @@ def _cluster_pattern(steps, outputs, target: PureState) -> MeasurementPattern:
 def two_qubit_pattern(instr: GateInstruction) -> MeasurementPattern:
     """Measure qubits 2 and 3 of the cluster in the planar bases at the
     instruction angles; qubits 1 and 4 carry the two-qubit output."""
-    steps = ((2, LocalBasis.planar_std(instr.alpha)), (3, LocalBasis.planar_std(instr.beta)))
+    steps = ((2, LocalBasis("planar_std", instr.alpha)), (3, LocalBasis("planar_std", instr.beta)))
     return _cluster_pattern(steps, (1, 4), target_two_qubit(instr))
 
 
@@ -162,9 +165,9 @@ def single_rotation_pattern(instr: GateInstruction) -> MeasurementPattern:
     """Disentangle qubit 4 with an X measurement, then measure qubits 1 and
     2 at the instruction angles; qubit 3 carries the rotated output."""
     steps = (
-        (4, LocalBasis.x()),
-        (1, LocalBasis.planar_had(instr.alpha)),
-        (2, LocalBasis.planar_std(instr.beta)),
+        (4, LocalBasis("X")),
+        (1, LocalBasis("planar_had", instr.alpha)),
+        (2, LocalBasis("planar_std", instr.beta)),
     )
     return _cluster_pattern(steps, (3,), target_single(instr))
 

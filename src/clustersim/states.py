@@ -144,7 +144,7 @@ class PauliString:
 
 @dataclass(frozen=True)
 class LocalBasis:
-    """A single-qubit measurement basis.
+    """A single-qubit measurement basis LocalBasis(kind, theta), written kind(t).
 
     planar_std(t) is {(|0> + e^{-it}|1>)/sqrt2, (|0> - e^{-it}|1>)/sqrt2};
     planar_had(t) is the same with |0>,|1> replaced by |+>,|->.
@@ -162,26 +162,6 @@ class LocalBasis:
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ValueError(f"unknown basis kind {self.kind!r}")
-
-    @classmethod
-    def z(cls):
-        return cls("Z")
-
-    @classmethod
-    def x(cls):
-        return cls("X")
-
-    @classmethod
-    def y(cls):
-        return cls("Y")
-
-    @classmethod
-    def planar_std(cls, theta: float):
-        return cls("planar_std", theta)
-
-    @classmethod
-    def planar_had(cls, theta: float):
-        return cls("planar_had", theta)
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray]:
         """The ordered pair of basis vectors (outcome 0, outcome 1)."""
@@ -392,7 +372,7 @@ def _check_qubits(qubits, n: int) -> None:
 
 
 def apply_gate(state: PureState, gate, qubits) -> PureState:
-    """Apply RZ/RX/CZ or a Pauli word to the given qubit labels (1-based)."""
+    """Apply RZ(t), RX(t), the class CZ or a Pauli word (a str) to the given qubit labels (1-based)."""
     amps, n, qubits = np.array(_array(state, PureState)), state.n_qubits, list(qubits)
     _check_qubits(qubits, n)
     if isinstance(gate, (RZ, RX)):
@@ -400,13 +380,13 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
             raise ValueError("rotation gates act on exactly one qubit")
         (flip,), (phase,) = _pauli_kernel(("Z" if isinstance(gate, RZ) else "X",), n, tuple(qubits))
         amps = math.cos(gate.theta / 2) * amps - 1j * math.sin(gate.theta / 2) * (phase * amps)[flip]
-    elif gate is CZ or isinstance(gate, CZ):
+    elif gate is CZ:
         if len(qubits) != 2:
             raise ValueError("CZ takes exactly two qubit labels")
         idx = np.arange(amps.size)
         amps *= 1 - 2 * ((idx >> (n - qubits[0])) & (idx >> (n - qubits[1])) & 1)
-    elif isinstance(gate, (str, PauliString)):
-        word = (gate if isinstance(gate, PauliString) else PauliString(gate)).word
+    elif isinstance(gate, str):
+        word = PauliString(gate).word
         if len(word) != len(qubits):
             raise ValueError("Pauli word length must match qubit list")
         (flip,), (phase,) = _pauli_kernel((word,), n, tuple(qubits))

@@ -18,13 +18,15 @@ from .states import PauliString, PureState, _array, _memoised, _pauli_kernel, pa
 
 @dataclass(frozen=True)
 class ObservableSum:
-    """Weighted sum of Pauli strings plus a multiple of the identity."""
+    """Weighted sum of Pauli strings (a str term is read by PauliString) plus a multiple of the identity."""
 
     terms: tuple[PauliString, ...]
     identity_offset: float = 0.0
 
     def __post_init__(self):
-        terms = tuple(self.terms)
+        if isinstance(self.terms, str):  # its letters would each read as a one-qubit term
+            raise TypeError(f"terms must be a sequence of Pauli terms, not the str {self.terms!r}")
+        terms = tuple(PauliString(t) if isinstance(t, str) else t for t in self.terms)
         if not terms:
             raise ValueError("an observable needs at least one Pauli term")
         if any(len(t.word) != len(terms[0].word) for t in terms):

@@ -164,7 +164,7 @@ def test_criterion_10_property_suites(rng):
     # norm preservation / Born completeness on random states
     for _ in range(20):
         state = random_pure_state(4, rng)
-        basis = LocalBasis.planar_std(rng.uniform(0, 2 * math.pi))
+        basis = LocalBasis("planar_std", rng.uniform(0, 2 * math.pi))
         qubit = int(rng.integers(1, 5))
         total = 0.0
         for bit in (0, 1):

@@ -198,7 +198,7 @@ class TestBornMemo:
             assert not branch_states.flags.writeable and not probs.flags.writeable
             assert branch_states.nbytes + probs.nbytes == 24 * 2**2 and size == 4096
         big = random_pure_state(17, rng)  # one step leaves two 2^16-amplitude branches, 2 MiB
-        measure(big, 1, LocalBasis.z(), select=0)
+        measure(big, 1, LocalBasis("Z"), select=0)
         ((branch_states, probs), size), = memo.values()
         assert size == branch_states.nbytes + probs.nbytes > budget
         assert not branch_states.flags.writeable and not probs.flags.writeable
@@ -332,6 +332,8 @@ class TestExpectationFromCounts:
         rec = exact_record(cluster4(), TomographicSetting("XXZZ"))
         with pytest.raises(ValueError):
             expectation_from_counts(rec, "YYZI")
+        with pytest.raises(ValueError, match="^term 'XXZ' has 3 qubits; the records' settings have 4$"):
+            expectation_from_counts(rec, "XXZ")
 
     def test_sigma_calibration(self):
         # empirical spread over resamples matches the reported sigma: one term

@@ -30,6 +30,7 @@ def truncated_schmidt_state(target: PureState, partition, k: int) -> PureState:
 class TestRankSignature:
     def test_cluster(self):
         assert tuple(rank_signature(cluster4())) == (2, 4, 4)
+        assert type(rank_signature(cluster4())) is tuple
 
     def test_ghz_and_w(self):
         assert tuple(rank_signature(named_state("ghz4"))) == (2, 2, 2)

@@ -168,7 +168,7 @@ class TestBranchEngine:
     def test_impossible_branch_rejected(self):
         product = PureState.from_amplitudes(ket(H, H, H, H))
         pattern = MeasurementPattern(
-            4, [(1, LocalBasis.z())], (2, 3, 4), {"0": "III", "1": "III"}
+            4, [(1, LocalBasis("Z"))], (2, 3, 4), {"0": "III", "1": "III"}
         )
         assert execute(pattern, product, branch="0")[2] == pytest.approx(1.0)
         with pytest.raises(ValueError):
@@ -247,7 +247,7 @@ class TestBranchCache:
 
     def test_per_call_checks_hold_on_a_hit(self):
         product = PureState.from_amplitudes(ket(H, H, H, H))
-        pattern = MeasurementPattern(4, [(1, LocalBasis.z())], (2, 3, 4), {"0": "III", "1": "III"})
+        pattern = MeasurementPattern(4, [(1, LocalBasis("Z"))], (2, 3, 4), {"0": "III", "1": "III"})
         rho = product.to_density()
         for _ in range(2):
             with pytest.raises(ValueError, match="probability ~0"):
@@ -624,6 +624,8 @@ class TestResourceType:
         mixed_target = MeasurementPattern(4, p.steps, p.output_qubits, p.corrections, p.target.to_density())
         with pytest.raises(TypeError, match=wrong_type(mixed_target.target)):
             basis_reassignment_check(mixed_target, cluster4())
+        with pytest.raises(TypeError, match=wrong_type(p.target.amplitudes)):
+            MeasurementPattern(4, p.steps, p.output_qubits, p.corrections, p.target.amplitudes)
 
     def test_derivation_needs_pure_states(self):
         pattern = two_qubit_pattern(GateInstruction(0, 0))
@@ -709,7 +711,7 @@ class TestReassignmentOracle:
 
     def test_zero_probability_branch_rejected_by_both(self):
         product = PureState.from_amplitudes(ket(H, H, H, H))
-        pattern = MeasurementPattern(4, [(1, LocalBasis.z())], (2, 3, 4), {"0": "III", "1": "III"})
+        pattern = MeasurementPattern(4, [(1, LocalBasis("Z"))], (2, 3, 4), {"0": "III", "1": "III"})
         for check in (basis_reassignment_check, bras_reassignment_check):
             with pytest.raises(ValueError):
                 check(pattern, product)
@@ -739,7 +741,7 @@ class TestPatternValidation:
             MeasurementPattern(4, pattern.steps, (2, 4), pattern.corrections)
         twice = {b: "I" for b in ("00", "01", "10", "11")}
         with pytest.raises(ValueError, match="^qubit labels must be distinct$"):
-            MeasurementPattern(2, [(1, LocalBasis.x()), (1, LocalBasis.y())], (2,), twice)
+            MeasurementPattern(2, [(1, LocalBasis("X")), (1, LocalBasis("Y"))], (2,), twice)
 
     @pytest.mark.parametrize(
         "qubits,outputs,message",
@@ -749,17 +751,21 @@ class TestPatternValidation:
             ((2, 5), (1, 4), "^qubit label 5 out of range 1..4$"),
             ((0, 3), (1, 4), "^qubit label 0 out of range 1..4$"),
             ((2,), (1, 4), "^steps and outputs must cover the register 1..4$"),
+            ((4, 1, 2), (3,), "^target width 2 does not match output width 1$"),
+            ((2,), (1, 3, 4), "^target width 2 does not match output width 3$"),
         ],
     )
     def test_bad_plan_rejected_by_pattern_and_derivation(self, qubits, outputs, message):
         """A qubit measured twice, measured and output, outside 1..4 or left
-        out is the one plan check's error, before any contraction."""
-        steps = tuple((q, LocalBasis.planar_std(0.0)) for q in qubits)
+        out, or a two-qubit target on another number of outputs, is the one
+        plan check's error, before any contraction."""
+        steps = tuple((q, LocalBasis("planar_std", 0.0)) for q in qubits)
         corrections = {"".join(b): "I" * len(outputs) for b in itertools.product("01", repeat=len(steps))}
+        target = target_two_qubit(GateInstruction(0, 0))
         with pytest.raises(ValueError, match=message):
-            MeasurementPattern(4, steps, outputs, corrections)
+            MeasurementPattern(4, steps, outputs, corrections, target)
         with pytest.raises(ValueError, match=message):
-            derive_feedforward(steps, outputs, cluster4(), target_two_qubit(GateInstruction(0, 0)))
+            derive_feedforward(steps, outputs, cluster4(), target)
 
     def test_incomplete_corrections_rejected(self):
         pattern = two_qubit_pattern(GateInstruction(0, 0))

@@ -15,6 +15,7 @@ def test_all_lists_only_public_names():
     }
     assert set(names) == public
     assert {"cluster4", "execute", "NoiseSpec", "classical_bound", "witness_from_counts"} <= public
+    assert "RankSignature" not in names
 
 
 def test_star_import_binds_no_submodule():

@@ -147,6 +147,12 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(cluster4(), CZ, [2, 2])
 
+    @pytest.mark.parametrize("gate", [PauliString("XZ", 0.5), CZ()], ids=["PauliString", "CZ()"])
+    def test_unknown_gate(self, gate):
+        """A Pauli gate is a str word and CZ is the class: no other spelling."""
+        with pytest.raises(ValueError, match="^unknown gate "):
+            apply_gate(named_state("plus").tensor(named_state("plus")), gate, [1, 2])
+
 
 class TestFidelity:
     def test_self(self):
@@ -219,38 +225,42 @@ class TestLocalBasis:
 
     @pytest.mark.parametrize(
         "kind,planar",
-        [("X", LocalBasis.planar_std(0.0)), ("Y", LocalBasis.planar_std(-math.pi / 2)), ("Z", LocalBasis.planar_had(0.0))],
+        [
+            ("X", LocalBasis("planar_std", 0.0)),
+            ("Y", LocalBasis("planar_std", -math.pi / 2)),
+            ("Z", LocalBasis("planar_had", 0.0)),
+        ],
     )
     def test_pauli_kinds_match_planar_bases(self, kind, planar):
         assert np.allclose(LocalBasis(kind).vectors(), planar.vectors(), atol=1e-15)
 
     def test_planar_half_pi_is_y_swapped(self):
-        assert np.allclose(LocalBasis.y().vectors()[::-1], LocalBasis.planar_std(math.pi / 2).vectors(), atol=1e-15)
+        assert np.allclose(LocalBasis("Y").vectors()[::-1], LocalBasis("planar_std", math.pi / 2).vectors(), atol=1e-15)
 
     def test_y_vectors_are_exact(self):
-        v0, v1 = LocalBasis.y().vectors()
+        v0, v1 = LocalBasis("Y").vectors()
         assert v0.tolist() == [S2, 1j * S2] and v1.tolist() == [S2, -1j * S2]
 
 
 class TestMeasure:
     def test_cluster_x_on_qubit4(self):
-        p, outcome, collapsed = measure(cluster4(), 4, LocalBasis.x(), select=0)
+        p, outcome, collapsed = measure(cluster4(), 4, LocalBasis("X"), select=0)
         assert p == pytest.approx(0.5, abs=1e-12)
         assert outcome == 0
         assert collapsed.n_qubits == 3
 
     def test_eigenstate(self):
-        p, _, _ = measure(named_state("h"), 1, LocalBasis.z(), select=0)
+        p, _, _ = measure(named_state("h"), 1, LocalBasis("Z"), select=0)
         assert p == pytest.approx(1.0, abs=1e-12)
 
     def test_forbidden_branch(self):
         with pytest.raises(ValueError):
-            measure(named_state("h"), 1, LocalBasis.z(), select=1)
+            measure(named_state("h"), 1, LocalBasis("Z"), select=1)
 
     def test_born_completeness(self, rng):
         for _ in range(10):
             state = random_pure_state(3, rng)
-            basis = LocalBasis.planar_std(rng.uniform(0, 2 * math.pi))
+            basis = LocalBasis("planar_std", rng.uniform(0, 2 * math.pi))
             qubit = int(rng.integers(1, 4))
             total = 0.0
             for bit in (0, 1):
@@ -264,11 +274,11 @@ class TestMeasure:
     def test_remaining_order(self):
         # measuring qubit 1 of |HV> leaves |V>
         state = named_state("h").tensor(named_state("v"))
-        _, _, collapsed = measure(state, 1, LocalBasis.z(), select=0)
+        _, _, collapsed = measure(state, 1, LocalBasis("Z"), select=0)
         assert fidelity(collapsed, named_state("v")) == pytest.approx(1.0, abs=1e-12)
 
     def test_seeded_random_outcome_deterministic(self):
-        results = {measure(cluster4(), 4, LocalBasis.x(), seed=42)[1] for _ in range(5)}
+        results = {measure(cluster4(), 4, LocalBasis("X"), seed=42)[1] for _ in range(5)}
         assert len(results) == 1
 
     def test_matches_tensordot_oracle(self, rng):
@@ -292,26 +302,26 @@ class TestMeasure:
                             assert np.max(np.abs(collapsed.amplitudes - ref.amplitudes)) <= 1e-12
 
     def test_result_is_a_fresh_read_only_copy(self):
-        _, _, first = measure(cluster4(), 2, LocalBasis.y(), select=1)
-        _, _, again = measure(cluster4(), 2, LocalBasis.y(), select=1)
+        _, _, first = measure(cluster4(), 2, LocalBasis("Y"), select=1)
+        _, _, again = measure(cluster4(), 2, LocalBasis("Y"), select=1)
         assert first.amplitudes is not again.amplitudes and first.amplitudes.base is None
         assert not first.amplitudes.flags.writeable
         assert np.array_equal(first.amplitudes, again.amplitudes)
 
     def test_density_matrix_rejected(self, rng):
         with pytest.raises(TypeError, match="unsupported state type"):
-            measure(random_density_matrix(2, rng), 1, LocalBasis.z(), select=0)
+            measure(random_density_matrix(2, rng), 1, LocalBasis("Z"), select=0)
         amps = cluster4().amplitudes
         with pytest.raises(TypeError, match=wrong_type(amps)):
-            measure(amps, 1, LocalBasis.z(), select=0)
+            measure(amps, 1, LocalBasis("Z"), select=0)
 
     def test_bad_outcome_and_qubit_rejected(self):
         with pytest.raises(ValueError, match="0 or 1"):
-            measure(cluster4(), 1, LocalBasis.z(), select=2)
+            measure(cluster4(), 1, LocalBasis("Z"), select=2)
         with pytest.raises(ValueError, match="1 outcome bits expected, got '10'"):
-            measure(cluster4(), 1, LocalBasis.z(), select=10)
+            measure(cluster4(), 1, LocalBasis("Z"), select=10)
         with pytest.raises(ValueError, match="out of range 1..4"):
-            measure(cluster4(), 5, LocalBasis.z(), select=0)
+            measure(cluster4(), 5, LocalBasis("Z"), select=0)
 
 
 class TestSchmidt:
@@ -536,7 +546,7 @@ class TestMemo:
         for state, tensor in ((pure, pure.amplitudes), (rho, rho.entries)):
             n = state.n_qubits
             born_distribution(state, TomographicSetting("Z" * n))
-            _branches(((1, LocalBasis.x()),), n, tensor)
+            _branches(((1, LocalBasis("X")),), n, tensor)
         assert len(memo) == 4
 
         def leaves(x):
@@ -553,7 +563,7 @@ class TestBranchThreshold:
     on its joint probability; the table keeps its entry."""
 
     def test_joint_probability_decides(self):
-        steps = ((1, LocalBasis.z()), (2, LocalBasis.z()))
+        steps = ((1, LocalBasis("Z")), (2, LocalBasis("Z")))
         one = [math.sqrt(1 - 1e-7), math.sqrt(1e-7)]  # each step's conditional probability of 1 is 1e-7
         state = PureState.from_amplitudes(ket(one, one, [1, 0]))
         probs = _branches(steps, 3, state.amplitudes)[1]
@@ -565,15 +575,15 @@ class TestBranchThreshold:
             _branch(_branches(steps, 3, state.to_density().entries), "11")
 
     def test_string_and_sequence_bits_pick_the_same_branch(self):
-        table = _branches(((1, LocalBasis.x()), (2, LocalBasis.z())), 4, cluster4().amplitudes)
+        table = _branches(((1, LocalBasis("X")), (2, LocalBasis("Z"))), 4, cluster4().amplitudes)
         picks = [_branch(table, bits) for bits in ("01", (0, 1), [0, 1])]
         for outcome, state, p in picks:
             assert outcome == "01" and p == picks[0][2]
             assert state.tobytes() == picks[0][1].tobytes()
 
     def test_bad_bits_keep_their_messages(self):
-        two = _branches(((1, LocalBasis.x()), (2, LocalBasis.z())), 4, cluster4().amplitudes)
-        one = _branches(((1, LocalBasis.x()),), 4, cluster4().amplitudes)
+        two = _branches(((1, LocalBasis("X")), (2, LocalBasis("Z"))), 4, cluster4().amplitudes)
+        one = _branches(((1, LocalBasis("X")),), 4, cluster4().amplitudes)
         with pytest.raises(ValueError, match="^outcome bits must be 0 or 1$"):
             _branch(two, "2")
         with pytest.raises(ValueError, match="^1 outcome bits expected, got '10'$"):

@@ -51,6 +51,13 @@ class TestConstruction:
         assert plus == {"XXZI", "IZXX", "ZIXX", "XXIZ"}
         assert minus == {"YYZI", "IZYY", "ZIYY", "YYIZ"}
 
+    def test_str_terms_are_read_as_pauli_strings(self):
+        assert ObservableSum(("ZZII", "IZXX")) == ObservableSum((PauliString("ZZII"), PauliString("IZXX")))
+        with pytest.raises(ValueError, match="^invalid Pauli word 'ZQII'$"):
+            ObservableSum(("ZQII",))
+        with pytest.raises(TypeError, match="^terms must be a sequence of Pauli terms, not the str 'ZZII'$"):
+            ObservableSum("ZZII")
+
     def test_mixed_word_lengths_rejected(self):
         with pytest.raises(ValueError):
             ObservableSum((PauliString("ZZ"), PauliString("ZZZ")))
