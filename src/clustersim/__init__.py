@@ -57,6 +57,7 @@ from .witness import (
     TomographicSetting,
     build_b2,
     build_b4,
+    build_fidelity,
     required_settings,
     verify_dominance,
     witness_expectation,

@@ -24,7 +24,7 @@ from .mbqc import (
 )
 from .noise import NoiseSpec, apply_noise
 from .states import PureState, cluster4, fidelity, named_state
-from .witness import build_b2, build_b4, required_settings, witness_expectation
+from .witness import build_b2, build_b4, build_fidelity, required_settings, witness_expectation
 
 
 # Each paper task: (pattern builder, target builder, instruction sweep, the
@@ -33,6 +33,9 @@ _TASKS = {
     "two-qubit": (two_qubit_pattern, target_two_qubit, TWO_QUBIT_INSTRUCTIONS, (0.895, 0.010)),
     "single": (single_rotation_pattern, target_single, SINGLE_QUBIT_INSTRUCTIONS, (0.926, 0.010)),
 }
+
+# Each reported observable: the two fidelity bounds and the fidelity F itself.
+_OBSERVABLES = {"b2": build_b2, "b4": build_b4, "f": build_fidelity}
 
 
 class UsageError(Exception):
@@ -96,39 +99,15 @@ def _state_json(state: PureState) -> dict:
     return {"n": state.n_qubits, "re": state.amplitudes.real.tolist(), "im": state.amplitudes.imag.tolist()}
 
 
-def _bounds_from_counts(path: str) -> dict:
-    """B2 and B4 bounds from a counts file; None for a witness whose settings
-    the file does not cover."""
-    records = _read_counts(path)
-    result = {}
-    for name, obs in (("b2", build_b2()), ("b4", build_b4())):
-        try:
-            bound, sigma = counts_mod.witness_from_counts(records, obs)
-        except counts_mod.ZeroCountsError as exc:
-            raise DataError(str(exc))
-        except ValueError:  # no record covers some term of this witness
-            result[name] = None
-        else:
-            result[name] = {"bound": bound, "sigma": sigma}
-    if result["b2"] is None and result["b4"] is None:
-        raise DataError("counts file covers neither witness's settings")
-    return result
-
-
 def _cmd_witness(args) -> dict:
-    if args.counts is not None and args.noise is not None:
-        raise UsageError("--noise applies to the simulated state and cannot be combined with --counts")
-    if args.counts is not None:
-        return {"command": "witness", "source": "counts", **_bounds_from_counts(args.counts)}
-    b2, b4 = build_b2(), build_b4()
     state = _resource_state(args.noise)
+    observables = {name: build() for name, build in _OBSERVABLES.items()}
     return {
         "command": "witness",
         "source": "state",
         "noise": args.noise,
-        "b2": {"bound": witness_expectation(state, b2), "sigma": None},
-        "b4": {"bound": witness_expectation(state, b4), "sigma": None},
-        "settings": {name: [s.bases for s in required_settings(b)] for name, b in (("b2", b2), ("b4", b4))},
+        **{name: {"bound": witness_expectation(state, b), "sigma": None} for name, b in observables.items()},
+        "settings": {name: [s.bases for s in required_settings(b)] for name, b in observables.items()},
     }
 
 
@@ -208,29 +187,38 @@ def _cmd_sample(args) -> str:
     return counts_mod.serialize_counts(records)
 
 
-def _read_counts(path: str):
+def _cmd_ingest(args) -> dict:
+    """Each observable's bound and sigma from a counts file; None for one whose settings it does not cover."""
     try:
-        with open(path, encoding="utf-8-sig") as fh:  # a spreadsheet's byte-order mark is not data
+        with open(args.counts, encoding="utf-8-sig") as fh:  # a spreadsheet's byte-order mark is not data
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}")
+        raise DataError(f"cannot read {args.counts}: {exc}")
     try:
-        return counts_mod.parse_counts(text)
+        records = counts_mod.parse_counts(text)
     except ValueError as exc:
         raise DataError(str(exc))
-
-
-def _cmd_ingest(args) -> dict:
-    return {"command": "ingest", "file": args.counts, **_bounds_from_counts(args.counts)}
+    out = {"command": "ingest", "file": args.counts}
+    for name, build in _OBSERVABLES.items():
+        try:
+            bound, sigma = counts_mod.witness_from_counts(records, build())
+        except counts_mod.ZeroCountsError as exc:
+            raise DataError(str(exc))
+        except ValueError:  # no record covers some term of this observable
+            out[name] = None
+        else:
+            out[name] = {"bound": bound, "sigma": sigma}
+    if not any(map(out.get, _OBSERVABLES)):
+        raise DataError("counts file covers neither witness's settings")
+    return out
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="clustersim")
     sub = parser.add_subparsers(dest="subcommand")
 
-    p = sub.add_parser("witness", help="fidelity lower bounds from state or counts")
+    p = sub.add_parser("witness", help="fidelity and its lower bounds from the simulated state")
     p.add_argument("--noise", help="e.g. white:0.86 or dephase:0.05:1,2")
-    p.add_argument("--counts", help="CSV file of coincidence counts")
 
     p = sub.add_parser("schmidt", help="rank signatures and fidelity ceilings")
     p.add_argument("--fidelity", type=float, help="classify which classes this fidelity excludes")
@@ -250,7 +238,7 @@ def build_parser() -> _Parser:
     p.add_argument("--noise")
     p.add_argument("--settings", help="comma-separated, e.g. XXZZ,ZZXX")
 
-    p = sub.add_parser("ingest", help="read count CSVs, print witness bounds")
+    p = sub.add_parser("ingest", help="read count CSVs, print the fidelity and its bounds with error bars")
     p.add_argument("--counts", required=True)
 
     for p in sub.choices.values():

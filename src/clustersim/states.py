@@ -392,7 +392,7 @@ def apply_gate(state: PureState, gate, qubits) -> PureState:
         (flip,), (phase,) = _pauli_kernel((word,), n, tuple(qubits))
         amps = (phase * amps)[flip]
     else:
-        raise ValueError(f"unknown gate {gate!r}")
+        raise ValueError(f"unknown gate of type {type(gate).__name__}")
     return _trusted(PureState, n, amps)
 
 

@@ -1,11 +1,10 @@
-"""Fidelity-bound observables for the four-qubit cluster state.
+"""Observables of the four-qubit cluster state: signed sums of its stabilizer words.
 
-Two few-setting observables give lower bounds on the cluster-state
-fidelity: a six-term one needing two measurement settings and an
-eight-term one needing four settings; both are dominated by the cluster
-projector, so they never exceed the fidelity (`verify_dominance`, memoised: the
-offset I plus each term's `states._pauli_kernel` phases scattered, in term order).
-"""
+The fidelity F is the cluster projector, the mean of all 16 stabilizer
+elements (nine settings). Two few-setting observables bound it from below, a
+six-term one needing two settings and an eight-term one needing four: the
+projector dominates both (`verify_dominance`, memoised: the offset I plus
+each term's `states._pauli_kernel` phases scattered, in term order)."""
 
 from __future__ import annotations
 
@@ -13,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import PauliString, PureState, _array, _memoised, _pauli_kernel, pauli_expectation
+from .states import PauliString, PureState, _array, _memoised, _pauli_kernel, _words, cluster4, pauli_expectation
 
 
 @dataclass(frozen=True)
@@ -27,6 +26,8 @@ class ObservableSum:
         if isinstance(self.terms, str):  # its letters would each read as a one-qubit term
             raise TypeError(f"terms must be a sequence of Pauli terms, not the str {self.terms!r}")
         terms = tuple(PauliString(t) if isinstance(t, str) else t for t in self.terms)
+        if bad := [t for t in terms if not isinstance(t, PauliString)]:
+            raise TypeError(f"a Pauli term is a str or a PauliString, not {type(bad[0]).__name__}")
         if not terms:
             raise ValueError("an observable needs at least one Pauli term")
         if any(len(t.word) != len(terms[0].word) for t in terms):
@@ -56,20 +57,29 @@ class TomographicSetting:
         return len(word) == len(self.bases) and _join(self.bases, word) == self.bases
 
 
+def _signed(words, scale: float, offset: float = 0.0) -> ObservableSum:
+    """Each word (None: the 15 stabilizer words other than every[0] = IIII) at its sign
+    <C|P|C> on the cluster C = cluster4(), read in one batched kernel call, times `scale`, plus offset I."""
+    every, amps = _words(("IXYZ",) * 4), cluster4().amplitudes
+    flip, phase = _pauli_kernel(every, 4)
+    signs = dict(zip(every, (amps.conj()[flip] * phase * amps).sum(1).real.tolist()))
+    words = [w for w in every[1:] if signs[w]] if words is None else words
+    return ObservableSum(tuple(PauliString(w, signs[w] * scale) for w in words), offset)
+
+
 def build_b2() -> ObservableSum:
-    """Two-setting bound observable: six words at 1/4 minus half the identity."""
-    words = ("ZZII", "IZXX", "ZIXX", "XXZI", "IIZZ", "XXIZ")
-    return ObservableSum(tuple(PauliString(w, 0.25) for w in words), identity_offset=-0.5)
+    """Two-setting bound observable: six words at sign/4 (all +1) minus half the identity."""
+    return _signed(("ZZII", "IZXX", "ZIXX", "XXZI", "IIZZ", "XXIZ"), 0.25, -0.5)
 
 
 def build_b4() -> ObservableSum:
-    """Four-setting bound observable: four X-words at +1/8 and four Y-words at -1/8."""
-    plus = ("XXZI", "IZXX", "ZIXX", "XXIZ")
-    minus = ("YYZI", "IZYY", "ZIYY", "YYIZ")
-    terms = tuple(PauliString(w, 0.125) for w in plus) + tuple(
-        PauliString(w, -0.125) for w in minus
-    )
-    return ObservableSum(terms, identity_offset=0.0)
+    """Four-setting bound observable: eight words at sign/8, in the order that fixes its settings' order."""
+    return _signed(("XXZI", "IZXX", "ZIXX", "XXIZ", "YYZI", "IZYY", "ZIYY", "YYIZ"), 0.125)
+
+
+def build_fidelity() -> ObservableSum:
+    """The cluster projector F = (1/16) sum of its 16 stabilizer elements: 15 words at sign/16 plus I/16."""
+    return _signed(None, 0.0625, 0.0625)
 
 
 def witness_expectation(state, b: ObservableSum) -> float:

@@ -13,6 +13,7 @@ from clustersim.cli import parse_angle, run
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "cli_output.schema.json"
 SCHEMA = json.loads(SCHEMA_PATH.read_text())
 SRC_PATH = Path(__file__).resolve().parent.parent / "src"
+NINE_SETTINGS = "XXZZ,ZZXX,ZZYY,XYXY,XYYX,YXXY,YXYX,YYZZ,ZZZZ"  # the greedy settings of F
 
 
 def run_json(capsys, argv):
@@ -50,21 +51,30 @@ class TestWitnessCommand:
         obj = run_json(capsys, ["witness"])
         assert obj["b2"]["bound"] == pytest.approx(1.0, abs=1e-12)
         assert obj["b4"]["bound"] == pytest.approx(1.0, abs=1e-12)
-        assert set(obj["settings"]["b4"]) == {"XXZZ", "ZZXX", "YYZZ", "ZZYY"}
+        assert obj["f"] == {"bound": pytest.approx(1.0, abs=1e-12), "sigma": None}
+        assert obj["settings"]["b2"] == ["ZZXX", "XXZZ"]
+        assert obj["settings"]["b4"] == ["XXZZ", "ZZXX", "YYZZ", "ZZYY"]
+        assert obj["settings"]["f"] == NINE_SETTINGS.split(",")
 
     def test_white_noise(self, capsys):
         obj = run_json(capsys, ["witness", "--noise", "white:0.86"])
         assert obj["b4"]["bound"] == pytest.approx(0.86, abs=1e-12)
         assert obj["b2"]["bound"] == pytest.approx(0.79, abs=1e-12)
+        assert obj["f"]["bound"] == pytest.approx(0.86875, abs=1e-12)
 
     def test_bad_noise_is_usage_error(self, capsys):
         assert run(["witness", "--noise", "purple:1"]) == 1
 
     def test_empty_counts_path_is_data_error(self, capsys):
-        assert run(["witness", "--counts", ""]) == 2
+        assert run(["ingest", "--counts", ""]) == 2
         assert capsys.readouterr().err.startswith("data error: cannot read ")
 
-    @pytest.mark.parametrize("command", ["witness", "ingest"])
+    def test_counts_is_usage_error(self, capsys):
+        """`ingest` is the one command that reads counts."""
+        assert run(["witness", "--counts", "x"]) == 1
+        assert capsys.readouterr().err == "usage error: unrecognized arguments: --counts x\n"
+
+    @pytest.mark.parametrize("command", ["ingest"])
     def test_counts_not_utf8_process_exit(self, command, tmp_path):
         csv_path = tmp_path / "counts.csv"
         csv_path.write_bytes(b"\xff\xfe")
@@ -76,6 +86,7 @@ class TestWitnessCommand:
         assert "Traceback" not in proc.stderr
 
     def test_noise_with_counts_process_exit(self, tmp_path):
+        """`--counts` is no `witness` option: a usage error, with or without --noise."""
         csv_path = tmp_path / "counts.csv"
         assert run(["sample", "--shots", "100", "--out", str(csv_path)]) == 0
         env = {**os.environ, "PYTHONPATH": str(SRC_PATH) + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -83,8 +94,7 @@ class TestWitnessCommand:
         argv += ["witness", "--counts", str(csv_path), "--noise", "white:0.5"]
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr.startswith("usage error: --noise") and "--counts" in proc.stderr
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == f"usage error: unrecognized arguments: --counts {csv_path}\n"
 
 
 class TestSchmidtCommand:
@@ -170,6 +180,17 @@ class TestSampleIngest:
         obj = run_json(capsys, ["ingest", "--counts", str(csv_path)])
         assert obj["b4"]["bound"] == pytest.approx(1.0, abs=0.01)
         assert obj["b2"]["bound"] == pytest.approx(1.0, abs=0.02)
+        assert obj["f"] is None  # the default settings are B4's four
+
+    def test_nine_settings_give_the_fidelity(self, tmp_path, capsys):
+        csv_path = tmp_path / "counts9.csv"
+        argv = ["sample", "--settings", NINE_SETTINGS, "--noise", "white:0.86", "--shots", "20000", "--seed", "3"]
+        assert run(argv + ["--out", str(csv_path)]) == 0
+        capsys.readouterr()
+        obj = run_json(capsys, ["ingest", "--counts", str(csv_path)])
+        assert 0 < obj["f"]["sigma"] < 0.01
+        assert abs(obj["f"]["bound"] - 0.86875) <= 4 * obj["f"]["sigma"]
+        assert obj["b2"] is not None and obj["b4"] is not None
 
     def test_noisy_sample(self, tmp_path, capsys):
         csv_path = tmp_path / "noisy.csv"
@@ -252,7 +273,7 @@ class TestSampleIngest:
     def test_missing_file_is_data_error(self, capsys):
         assert run(["ingest", "--counts", "/nonexistent/file.csv"]) == 2
 
-    @pytest.mark.parametrize("sub", ["ingest", "witness"])
+    @pytest.mark.parametrize("sub", ["ingest"])
     def test_zero_total_setting_is_named(self, sub, tmp_path, capsys):
         path = tmp_path / "zero.csv"
         path.write_text("setting,outcome,count\nZZXX,HH++,0\nXXZZ,++HH,5\n")
@@ -260,7 +281,7 @@ class TestSampleIngest:
         err = capsys.readouterr().err
         assert err.startswith("data error: setting ZZXX has zero total counts")
 
-    @pytest.mark.parametrize("sub", ["ingest", "witness"])
+    @pytest.mark.parametrize("sub", ["ingest"])
     def test_file_covering_neither_witness(self, sub, tmp_path, capsys):
         path = tmp_path / "other.csv"
         path.write_text("setting,outcome,count\nXXXX,++++,5\n")

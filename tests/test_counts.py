@@ -36,6 +36,7 @@ from clustersim.witness import (
     TomographicSetting,
     build_b2,
     build_b4,
+    build_fidelity,
     required_settings,
     witness_expectation,
 )
@@ -362,6 +363,22 @@ class TestExpectationFromCounts:
             reported = float(np.mean(sigmas))
             assert abs(empirical - reported) / reported < 0.1, (len(settings), empirical, reported)
 
+    def test_fidelity_sigma_at_paper_scale(self):
+        # F from its nine settings and B4 from its four, 210 events per
+        # setting as in the experiment, over 300 resamples
+        rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
+        for b in (build_fidelity(), build_b4()):
+            settings = required_settings(b)
+            values, sigmas = [], []
+            for seed in range(300):
+                records = [sample_counts(rho, st, 210, seed=10 * seed + i) for i, st in enumerate(settings)]
+                v, s = witness_from_counts(records, b)
+                values.append(v)
+                sigmas.append(s)
+            empirical = float(np.std(values, ddof=1))
+            reported = float(np.mean(sigmas))
+            assert abs(empirical - reported) / reported < 0.1, (len(settings), empirical, reported)
+
 
 class TestPerTermOracle:
     """The one estimator against the term-by-term one (conftest): the same
@@ -423,6 +440,12 @@ class TestWitnessFromCounts:
         records = [exact_record(rho, s) for s in required_settings(b4)]
         bound, _ = witness_from_counts(records, b4)
         assert bound == pytest.approx(witness_expectation(rho, b4), abs=1e-6)
+
+    @pytest.mark.parametrize("spec", ["white:0.86", "dephase:0.05:1,2"])
+    def test_fidelity_from_exact_records(self, spec):
+        rho, f = apply_noise(cluster4(), NoiseSpec.parse(spec)), build_fidelity()
+        records = [exact_record(rho, s) for s in required_settings(f)]
+        assert witness_from_counts(records, f)[0] == pytest.approx(witness_expectation(rho, f), abs=1e-6)
 
     def test_sampled_bound_statistically_consistent(self):
         rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))

@@ -8,6 +8,7 @@ from clustersim.witness import (
     TomographicSetting,
     build_b2,
     build_b4,
+    build_fidelity,
     required_settings,
     verify_dominance,
     witness_expectation,
@@ -37,19 +38,20 @@ def cluster_projector_observable() -> ObservableSum:
 class TestConstruction:
     def test_b2_structure(self):
         b2 = build_b2()
-        assert len(b2.terms) == 6
+        words = ["ZZII", "IZXX", "ZIXX", "XXZI", "IIZZ", "XXIZ"]
+        assert [(t.word, t.coefficient) for t in b2.terms] == [(w, 0.25) for w in words]
         assert b2.identity_offset == -0.5
-        assert {t.word for t in b2.terms} == {"ZZII", "IZXX", "ZIXX", "XXZI", "IIZZ", "XXIZ"}
-        assert all(t.coefficient == 0.25 for t in b2.terms)
 
     def test_b4_structure(self):
+        """The order is the settings' order (TestRequiredSettings): the signs come from cluster4()."""
         b4 = build_b4()
-        assert len(b4.terms) == 8
+        plus, minus = ["XXZI", "IZXX", "ZIXX", "XXIZ"], ["YYZI", "IZYY", "ZIYY", "YYIZ"]
+        assert [(t.word, t.coefficient) for t in b4.terms] == [(w, 0.125) for w in plus] + [(w, -0.125) for w in minus]
         assert b4.identity_offset == 0.0
-        plus = {t.word for t in b4.terms if t.coefficient == 0.125}
-        minus = {t.word for t in b4.terms if t.coefficient == -0.125}
-        assert plus == {"XXZI", "IZXX", "ZIXX", "XXIZ"}
-        assert minus == {"YYZI", "IZYY", "ZIYY", "YYIZ"}
+
+    def test_fidelity_is_the_projector_expansion(self):
+        """F's 15 words, signs and offset are the brute-force trace expansion of |C4><C4|, term for term."""
+        assert build_fidelity() == cluster_projector_observable()
 
     def test_str_terms_are_read_as_pauli_strings(self):
         assert ObservableSum(("ZZII", "IZXX")) == ObservableSum((PauliString("ZZII"), PauliString("IZXX")))
@@ -57,6 +59,10 @@ class TestConstruction:
             ObservableSum(("ZQII",))
         with pytest.raises(TypeError, match="^terms must be a sequence of Pauli terms, not the str 'ZZII'$"):
             ObservableSum("ZZII")
+
+    def test_other_terms_are_a_type_error(self):
+        with pytest.raises(TypeError, match="^a Pauli term is a str or a PauliString, not int$"):
+            ObservableSum((3,))
 
     def test_mixed_word_lengths_rejected(self):
         with pytest.raises(ValueError):
@@ -84,6 +90,14 @@ class TestExpectation:
         assert witness_expectation(rho, build_b4()) == pytest.approx(0.86, abs=1e-12)
         assert witness_expectation(rho, build_b2()) == pytest.approx((3 * 0.86 - 1) / 2, abs=1e-12)
 
+    def test_fidelity_observable_is_the_fidelity(self, rng):
+        f = build_fidelity()
+        for _ in range(20):
+            rho = random_density_matrix(4, rng)
+            assert witness_expectation(rho, f) == pytest.approx(fidelity(rho, cluster4()), abs=1e-12)
+        rho = apply_noise(cluster4(), NoiseSpec("white", 0.86))
+        assert witness_expectation(rho, f) == pytest.approx(0.86875, abs=1e-12)
+
     def test_linearity_in_state(self, rng):
         rho1 = random_density_matrix(4, rng)
         rho2 = random_density_matrix(4, rng)
@@ -105,6 +119,7 @@ class TestDominance:
     def test_projector_against_itself(self):
         obs = cluster_projector_observable()
         assert verify_dominance(obs, cluster4()) == pytest.approx(0.0, abs=1e-10)
+        assert verify_dominance(build_fidelity(), cluster4()) == pytest.approx(0.0, abs=1e-12)
 
     def test_qubit_counts_must_match(self):
         with pytest.raises(ValueError, match="observable on 4 qubits, target on 1"):
@@ -140,12 +155,15 @@ class TestDominance:
 
 class TestRequiredSettings:
     def test_b2_settings(self):
-        settings = {s.bases for s in required_settings(build_b2())}
-        assert settings == {"XXZZ", "ZZXX"}
+        assert [s.bases for s in required_settings(build_b2())] == ["ZZXX", "XXZZ"]
 
     def test_b4_settings(self):
-        settings = {s.bases for s in required_settings(build_b4())}
-        assert settings == {"XXZZ", "ZZXX", "YYZZ", "ZZYY"}
+        """`sample`'s default settings, in this order."""
+        assert [s.bases for s in required_settings(build_b4())] == ["XXZZ", "ZZXX", "YYZZ", "ZZYY"]
+
+    def test_fidelity_settings(self):
+        nine = ["XXZZ", "ZZXX", "ZZYY", "XYXY", "XYYX", "YXXY", "YXYX", "YYZZ", "ZZZZ"]
+        assert [s.bases for s in required_settings(build_fidelity())] == nine
 
     def test_single_term_completed_with_z(self):
         obs = ObservableSum((PauliString("ZZII", 1.0),))
@@ -154,7 +172,7 @@ class TestRequiredSettings:
         assert settings[0].covers("ZZII")
 
     def test_every_term_covered(self):
-        for b in (build_b2(), build_b4()):
+        for b in (build_b2(), build_b4(), build_fidelity()):
             settings = required_settings(b)
             for term in b.terms:
                 assert any(s.covers(term.word) for s in settings)
