@@ -104,7 +104,6 @@ def _cmd_witness(args) -> dict:
     observables = {name: build() for name, build in _OBSERVABLES.items()}
     return {
         "command": "witness",
-        "source": "state",
         "noise": args.noise,
         **{name: {"bound": witness_expectation(state, b), "sigma": None} for name, b in observables.items()},
         "settings": {name: [s.bases for s in required_settings(b)] for name, b in observables.items()},
@@ -188,7 +187,7 @@ def _cmd_sample(args) -> str:
 
 
 def _cmd_ingest(args) -> dict:
-    """Each observable's bound and sigma from a counts file; None for one whose settings it does not cover."""
+    """Each observable's bound and sigma from a counts file; None where a setting it reads is missing or empty."""
     try:
         with open(args.counts, encoding="utf-8-sig") as fh:  # a spreadsheet's byte-order mark is not data
             text = fh.read()
@@ -198,18 +197,18 @@ def _cmd_ingest(args) -> dict:
         records = counts_mod.parse_counts(text)
     except ValueError as exc:
         raise DataError(str(exc))
-    out = {"command": "ingest", "file": args.counts}
+    out, zero = {"command": "ingest", "file": args.counts}, None
     for name, build in _OBSERVABLES.items():
         try:
             bound, sigma = counts_mod.witness_from_counts(records, build())
-        except counts_mod.ZeroCountsError as exc:
-            raise DataError(str(exc))
+        except counts_mod.ZeroCountsError as exc:  # a term read from a setting with no counts
+            out[name], zero = None, zero or str(exc)
         except ValueError:  # no record covers some term of this observable
             out[name] = None
         else:
             out[name] = {"bound": bound, "sigma": sigma}
     if not any(map(out.get, _OBSERVABLES)):
-        raise DataError("counts file covers neither witness's settings")
+        raise DataError(zero or "counts file covers neither witness's settings")
     return out
 
 

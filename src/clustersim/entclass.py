@@ -46,10 +46,5 @@ def classify_by_fidelity(f: float) -> list[str]:
     """
     if not 0.0 <= f <= 1.0:
         raise ValueError("fidelity must lie in [0, 1]")
-    excluded = []
-    if f > GENUINE_THRESHOLD:
-        excluded.append("biseparable")
-        excluded.append("ghz-w")
-    if f > RANK3_THRESHOLD:
-        excluded.append("dicke")
-    return excluded
+    excluded = ["biseparable", "ghz-w"] if f > GENUINE_THRESHOLD else []
+    return excluded + (["dicke"] if f > RANK3_THRESHOLD else [])

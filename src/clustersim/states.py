@@ -14,8 +14,10 @@ Conventions used throughout the package:
 
 Local measurements have one contraction, `_branches`: every outcome branch
 of a list of single-qubit measurements on a pure or density state at once,
-from the Kronecker bras of the steps (each basis's built once, `_bras`). Every
-qubit measured in label order gives the Born vector (`counts.born_distribution`);
+from the Kronecker bras of the steps (each basis's built once, `_bras`), 64 rows
+at a time; a density table of more than 4 row blocks runs them on `_pool`, and
+its bits do not depend on the pool's worker count. Every qubit measured in label
+order gives the Born vector (`counts.born_distribution`);
 `_branch` picks one branch of a table, `measure` is its one-step call and
 `mbqc` runs whole patterns on it. A branch less likely than _IMPOSSIBLE is
 impossible where a branch is used (`_branch`, `mbqc`); the table, and so every
@@ -25,8 +27,8 @@ read-only, keyed by the arguments and a digest of the state read in place (no
 copy), LRU in 1 MiB (or one larger entry), an entry >= 4 KiB. Callers get copies.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
-all user input) check the norm, or Hermiticity, unit trace and eigvalsh
-positivity, each written so that NaN fails it; states built from valid ones
+all user input) check the norm, or Hermiticity, unit trace and positivity (by
+Cholesky), each written so that NaN fails it; states built from valid ones
 skip them (`_trusted`). Every state argument is read by `_array` (a wrong type
 is its TypeError), a Pauli word by `PauliString`, qubit labels by `_check_qubits`.
 """
@@ -110,8 +112,10 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian")
         if not abs(np.trace(mat).real - 1.0) <= NORM_ATOL:
             raise ValueError("trace is not 1")
-        if not np.linalg.eigvalsh(mat)[0] >= -PSD_ATOL:
-            raise ValueError("matrix has a significantly negative eigenvalue")
+        try:  # every eigenvalue >= -PSD_ATOL, as a Cholesky factor of mat + PSD_ATOL I exists
+            np.linalg.cholesky(mat + PSD_ATOL * np.eye(dim))
+        except np.linalg.LinAlgError:
+            raise ValueError("matrix has a significantly negative eigenvalue") from None
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
@@ -216,33 +220,48 @@ def _bras(basis: LocalBasis) -> np.ndarray:
     return rows
 
 
+_POOL = None, None  # (pid, its ThreadPoolExecutor), made by `_pool`
+
+
+def _pool():
+    """This process's thread pool, one worker per usable CPU, made on first use (a forked child makes its own)."""
+    global _POOL
+    import os
+    from concurrent.futures import ThreadPoolExecutor
+
+    if _POOL[0] != os.getpid():
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        _POOL = os.getpid(), ThreadPoolExecutor(workers)
+    return _POOL[1]
+
+
 @_memoised
 def _branches(steps: tuple, n: int, tensor: np.ndarray):
     """Every outcome branch of the measurements, a tuple of (qubit, LocalBasis)
     pairs, on amplitudes (2^n,) or a density matrix (2^n, 2^n). Returns
     (states, probs): per branch b (first step most significant),
     its state on the other qubits in label order, divided by its own raw
-    norm, and its probability, clipped at 0 and normalised to sum 1. The
-    bras u are the Kronecker product of the steps' conj(LocalBasis.vectors())
-    (`_bras`) by broadcasting, as np.kron's values; with the measured axes
-    first, in step order, u applies as one matmul (pure) or one einsum per
-    64-row block of u (density). Every qubit in label order gives the Born vector."""
-    u = np.ones((1, 1), dtype=complex)
-    for _, basis in steps:
-        rows = _bras(basis)
-        u = (u[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(u), -1)
-    mixed, measured = tensor.ndim == 2, [q - 1 for q, _ in steps]
+    norm, and its probability, clipped at 0 and normalised to sum 1. Block b
+    holds bras rows 64b..64b+63: the steps' conj(LocalBasis.vectors()) (`_bras`),
+    the first `head` fixed at b's bits, multiplied out left to right by
+    broadcasting (np.kron's values). With the measured axes first, in step
+    order, a block applies as one matmul (pure) or einsum (density), joined in
+    block order; a density table of more than 4 blocks runs on `_pool()`."""
+    mixed, measured, m = tensor.ndim == 2, [q - 1 for q, _ in steps], len(steps)
     order = measured + [a for a in range(n) if a not in measured]
     t = tensor.reshape((2,) * n * tensor.ndim).transpose(order + [n + a for a in order] * mixed)
-    if mixed:  # over row blocks of u, without a whole u.conj()
-        d = 2 ** (n - len(steps))
-        t = t.reshape(len(u), d, len(u), d)
-        blocks = (u[i : i + _ROW_BLOCK] for i in range(0, len(u), _ROW_BLOCK))
-        t = np.concatenate([np.einsum("ij,jkml,im->ikl", b, t, b.conj()) for b in blocks])
-        probs = np.trace(t, axis1=1, axis2=2).real
-    else:
-        t = u @ t.reshape(len(u), -1)
-        probs = (abs(t) ** 2).sum(1)
+    t = t.reshape(2**m, 2 ** (n - m), 2**m, -1) if mixed else t.reshape(2**m, -1)
+    rows, head = [_bras(basis) for _, basis in steps], max(m - 6, 0)
+
+    def block(b):  # numpy only, on the arrays above: it may run on a worker
+        u = np.ones((1, 1), dtype=complex)
+        for k, r in enumerate(rows):
+            r = r[(b >> (head - 1 - k)) & 1][None] if k < head else r
+            u = (u[:, None, :, None] * r[None, :, None, :]).reshape(len(r) * len(u), -1)
+        return np.einsum("ij,jkml,im->ikl", u, t, u.conj()) if mixed else u @ t
+
+    t = np.concatenate(list((_pool().map if mixed and head > 2 else map)(block, range(2**head))))
+    probs = np.trace(t, axis1=1, axis2=2).real if mixed else (abs(t) ** 2).sum(1)
     norm = np.where(probs > 0, probs if mixed else np.sqrt(probs), 1.0)
     t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
     probs = np.clip(probs, 0.0, None)

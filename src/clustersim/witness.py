@@ -107,15 +107,9 @@ def _dominance(b: ObservableSum, amps: np.ndarray):
 
 def _join(a: str, b: str) -> str | None:
     """Merge two words letter-wise if compatible (equal or one is I)."""
-    out = []
-    for x, y in zip(a, b):
-        if x == "I":
-            out.append(y)
-        elif y == "I" or x == y:
-            out.append(x)
-        else:
-            return None
-    return "".join(out)
+    if any(x != y and "I" not in (x, y) for x, y in zip(a, b)):
+        return None
+    return "".join(y if x == "I" else x for x, y in zip(a, b))
 
 
 def required_settings(b: ObservableSum) -> list[TomographicSetting]:

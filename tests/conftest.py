@@ -307,6 +307,32 @@ def whole_born(state, bases: str) -> np.ndarray:
     return probs / probs.sum()
 
 
+def whole_branches(steps: tuple, n: int, tensor: np.ndarray):
+    """`states._branches` without its memo as one serial contraction over the
+    whole (2^m, 2^m) Kronecker bras u, built up front: the reference that the
+    row-blocked, pooled tables must equal byte for byte."""
+    u = np.ones((1, 1), dtype=complex)
+    for _, basis in steps:
+        rows = states._bras(basis)
+        u = (u[:, None, :, None] * rows[None, :, None, :]).reshape(2 * len(u), -1)
+    mixed, measured = tensor.ndim == 2, [q - 1 for q, _ in steps]
+    order = measured + [a for a in range(n) if a not in measured]
+    t = tensor.reshape((2,) * n * tensor.ndim).transpose(order + [n + a for a in order] * mixed)
+    if mixed:  # over row blocks of u, without a whole u.conj()
+        d = 2 ** (n - len(steps))
+        t = t.reshape(len(u), d, len(u), d)
+        blocks = (u[i : i + 64] for i in range(0, len(u), 64))
+        t = np.concatenate([np.einsum("ij,jkml,im->ikl", b, t, b.conj()) for b in blocks])
+        probs = np.trace(t, axis1=1, axis2=2).real
+    else:
+        t = u @ t.reshape(len(u), -1)
+        probs = (abs(t) ** 2).sum(1)
+    norm = np.where(probs > 0, probs if mixed else np.sqrt(probs), 1.0)
+    t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))
+    probs = np.clip(probs, 0.0, None)
+    return t, probs / probs.sum()
+
+
 def whole_hermitian_gap(mat: np.ndarray) -> float:
     """max |mat - mat^dagger| over the whole matrix at once."""
     return float(np.max(np.abs(mat - mat.conj().T)))

@@ -55,6 +55,7 @@ class TestWitnessCommand:
         assert obj["settings"]["b2"] == ["ZZXX", "XXZZ"]
         assert obj["settings"]["b4"] == ["XXZZ", "ZZXX", "YYZZ", "ZZYY"]
         assert obj["settings"]["f"] == NINE_SETTINGS.split(",")
+        assert list(obj) == ["command", "noise", "b2", "b4", "f", "settings"]
 
     def test_white_noise(self, capsys):
         obj = run_json(capsys, ["witness", "--noise", "white:0.86"])
@@ -191,6 +192,21 @@ class TestSampleIngest:
         assert 0 < obj["f"]["sigma"] < 0.01
         assert abs(obj["f"]["bound"] - 0.86875) <= 4 * obj["f"]["sigma"]
         assert obj["b2"] is not None and obj["b4"] is not None
+
+    def test_zero_total_setting_only_f_reads_leaves_f_null(self, tmp_path, capsys):
+        """A zero-total setting makes only the observables that read it null."""
+        csv_path = tmp_path / "counts9.csv"
+        argv = ["sample", "--settings", NINE_SETTINGS, "--noise", "white:0.86", "--shots", "20000", "--seed", "3"]
+        assert run(argv + ["--out", str(csv_path)]) == 0
+        rows = csv_path.read_text().splitlines()
+        rows = [row.rsplit(",", 1)[0] + ",0" if row.startswith("XYXY,") else row for row in rows]
+        csv_path.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        obj = run_json(capsys, ["ingest", "--counts", str(csv_path)])
+        assert obj["f"] is None
+        for name, value in (("b2", 0.79), ("b4", 0.86)):
+            assert 0 < obj[name]["sigma"] < 0.01
+            assert abs(obj[name]["bound"] - value) <= 4 * obj[name]["sigma"]
 
     def test_noisy_sample(self, tmp_path, capsys):
         csv_path = tmp_path / "noisy.csv"

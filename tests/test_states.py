@@ -1,10 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clustersim.states
 from clustersim.classical_bound import classical_bound, optimal_group_state
 from clustersim.counts import born_distribution
 from clustersim.entclass import fidelity_ceiling, rank_signature
@@ -40,6 +42,7 @@ from conftest import (
     random_pure_state,
     tensordot_measure,
     whole_born,
+    whole_branches,
     whole_hermitian_gap,
     wrong_type,
 )
@@ -445,7 +448,7 @@ class TestValidation:
         with pytest.raises(ValueError):
             DensityMatrix(1, np.array([[1.5, 0], [0, -0.5]]))
 
-    @pytest.mark.parametrize("n", [2, 6])
+    @pytest.mark.parametrize("n", [1, 2, 6, 8])
     @pytest.mark.parametrize("least,accepted", [(-2e-8, False), (-5e-9, True)])
     def test_positivity_threshold(self, n, least, accepted, rng):
         """Positivity allows an eigenvalue down to -PSD_ATOL = -1e-8."""
@@ -461,6 +464,12 @@ class TestValidation:
         else:
             with pytest.raises(ValueError, match="significantly negative eigenvalue"):
                 DensityMatrix(n, mat)
+
+    @pytest.mark.parametrize("n", [1, 8])
+    def test_pure_state_accepted(self, n, rng):
+        """Rank 1: every eigenvalue but one is 0, on the positivity threshold's safe side."""
+        rho = random_pure_state(n, rng).to_density().entries
+        assert np.array_equal(DensityMatrix(n, rho).entries, rho)
 
     def test_low_rank_state_accepted_at_n10(self, rng):
         g = rng.normal(size=(2**10, 3)) + 1j * rng.normal(size=(2**10, 3))
@@ -557,6 +566,60 @@ class TestMemo:
             for leaf in leaves(key):
                 assert not isinstance(leaf, (np.ndarray, memoryview, bytearray))
                 assert not isinstance(leaf, bytes) or len(leaf) == 32  # a SHA-256 digest, not the state
+
+
+def _random_plan(n: int, m: int, mixed: bool, rng):
+    """m seeded measurements (X, Y, Z or planar, random order) on a random
+    rank-3 density matrix or pure state of n qubits: (steps, tensor)."""
+    kinds = ("X", "Y", "Z", "planar_std", "planar_had")
+    qubits = rng.permutation(n)[:m] + 1
+    steps = tuple((int(q), LocalBasis(kinds[rng.integers(5)], float(rng.uniform(-4, 4)))) for q in qubits)
+    g = rng.normal(size=(2**n, 3 if mixed else 1)) + 1j * rng.normal(size=(2**n, 3 if mixed else 1))
+    tensor = g @ g.conj().T if mixed else g[:, 0]
+    return steps, tensor / (np.trace(tensor).real if mixed else np.linalg.norm(tensor))
+
+
+class TestBranchesInBlocks:
+    """`_branches` builds and contracts the bras 64 rows at a time, a density
+    table of more than 4 blocks on a per-process pool, and stays byte for
+    byte the serial contraction over the whole bras matrix."""
+
+    @pytest.mark.parametrize(
+        "n,m,mixed",
+        [(6, 3, False), (6, 6, False), (6, 4, True), (6, 6, True), (7, 7, True), (8, 5, False), (8, 8, False),
+         (8, 7, True), (8, 8, True), (9, 9, False), (9, 4, True), (9, 9, True), (10, 7, False), (10, 10, False),
+         (10, 6, True), (10, 7, True), (10, 10, True)],
+    )
+    def test_branches_equal_the_whole_bras_contraction(self, n, m, mixed):
+        rng = np.random.default_rng([n, m, mixed])
+        for _ in range(2 if n < 9 else 1):
+            steps, tensor = _random_plan(n, m, mixed, rng)
+            states, probs = _branches.__wrapped__(steps, n, tensor)
+            ref_states, ref_probs = whole_branches(steps, n, tensor)
+            assert bitwise_equal(states, ref_states) and bitwise_equal(probs, ref_probs)
+
+    def test_branches_pooled_equal_one_worker(self, monkeypatch):
+        steps, tensor = _random_plan(9, 9, True, np.random.default_rng(9))
+        pooled = _branches.__wrapped__(steps, 9, tensor)
+        monkeypatch.setattr(clustersim.states, "_POOL", (None, None))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one = clustersim.states._pool()
+        try:
+            assert one._max_workers == 1
+            alone = _branches.__wrapped__(steps, 9, tensor)
+            assert clustersim.states._POOL[1] is one
+        finally:
+            one.shutdown()
+        assert all(bitwise_equal(a, b) for a, b in zip(pooled, alone))
+
+    def test_branches_pool_is_made_again_in_a_forked_child(self, monkeypatch):
+        pool = clustersim.states._pool()
+        assert clustersim.states._pool() is pool
+        monkeypatch.setattr(clustersim.states, "_POOL", clustersim.states._POOL)  # put back after the test
+        monkeypatch.setattr(os, "getpid", lambda: -1)
+        child = clustersim.states._pool()
+        child.shutdown()
+        assert child is not pool and clustersim.states._POOL == (-1, child)
 
 
 class TestBranchThreshold:
