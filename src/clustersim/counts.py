@@ -76,10 +76,11 @@ def outcome_index(setting: TomographicSetting, label: str) -> int:
     return idx
 
 
-def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
+def born_distribution(state, setting: TomographicSetting | str) -> np.ndarray:
     """Exact outcome probabilities for measuring every qubit in its setting
-    basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector): the probs
-    of the memoised all-qubit branch table, `states._branches`."""
+    basis (`states.LocalBasis`, outcome bit 0 the +1 eigenvector): the probs of the
+    memoised all-qubit branch table, `states._branches`. A str is read as a setting."""
+    setting = setting if isinstance(setting, TomographicSetting) else TomographicSetting(setting)
     tensor, n = _array(state), state.n_qubits
     if len(setting.bases) != n:
         raise ValueError(f"setting {setting.bases!r} does not match a register of {n} qubits")
@@ -87,18 +88,20 @@ def born_distribution(state, setting: TomographicSetting) -> np.ndarray:
     return _branches(steps, n, tensor)[1].copy()
 
 
-def sample_counts(state, setting: TomographicSetting, total: int, seed: int) -> CountRecord:
+def sample_counts(state, setting: TomographicSetting | str, total: int, seed: int) -> CountRecord:
     """Multinomial draw of `total` coincidence events from the Born
     distribution; deterministic given the seed."""
+    setting = setting if isinstance(setting, TomographicSetting) else TomographicSetting(setting)
     _check_total(total)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(total, born_distribution(state, setting))
     return CountRecord(setting, counts)
 
 
-def exact_record(state, setting: TomographicSetting, total: int = 10**9) -> CountRecord:
+def exact_record(state, setting: TomographicSetting | str, total: int = 10**9) -> CountRecord:
     """Infinite-statistics stand-in: exact Born probabilities times `total`,
     rounded to Python ints, so that a count past 2**63 - 1 is a range error."""
+    setting = setting if isinstance(setting, TomographicSetting) else TomographicSetting(setting)
     _check_total(total)
     probs = born_distribution(state, setting)
     return CountRecord(setting, [int(c) for c in np.rint(probs * total).tolist()])

@@ -12,19 +12,17 @@ Conventions used throughout the package:
     |R> = (|H> + i|V>)/sqrt2), as counts labels them H/V, +/-, R/L.
   * All state comparisons are fidelity-based; global phase is never fixed.
 
-Local measurements have one contraction, `_branches`: every outcome branch
-of a list of single-qubit measurements on a pure or density state at once,
-from the Kronecker bras of the steps (each basis's built once, `_bras`), 64 rows
-at a time; a density table of more than 4 row blocks runs them on `_pool`, and
-its bits do not depend on the pool's worker count. Every qubit measured in label
-order gives the Born vector (`counts.born_distribution`);
-`_branch` picks one branch of a table, `measure` is its one-step call and
-`mbqc` runs whole patterns on it. A branch less likely than _IMPOSSIBLE is
-impossible where a branch is used (`_branch`, `mbqc`); the table, and so every
-Born vector, keeps it. Results live in one single-threaded memo, `_memoised`,
-with Schmidt spectra, `mbqc`'s tables, dominance and `classical_bound`'s solves:
-read-only, keyed by the arguments and a digest of the state read in place (no
-copy), LRU in 1 MiB (or one larger entry), an entry >= 4 KiB. Callers get copies.
+Local measurements have one contraction, `_branches`: every outcome branch of a list of
+single-qubit measurements on a pure or density state at once, from the steps' Kronecker
+bras (`_bras`) 64 rows at a time, large density tables on `_pool` (bits independent of its
+workers). Every qubit measured in label order gives the Born vector
+(`counts.born_distribution`); on a density matrix at n = 7..10 its Z steps index diagonal
+blocks, bit for bit (`_EINSUM_BUFFER`). `_branch` picks one branch, `measure` is the
+one-step call and `mbqc` runs patterns on it. A branch less likely than _IMPOSSIBLE is
+never taken (`_branch`, `mbqc`); tables and Born vectors keep it. One single-threaded
+memo, `_memoised`, holds them, Schmidt spectra, `mbqc`'s tables, dominance and
+`classical_bound`'s solves: read-only, keyed by the arguments and a digest of the state
+read in place, LRU in 1 MiB (or one larger entry), an entry >= 4 KiB. Callers get copies.
 
 The public PureState and DensityMatrix constructors (so `from_amplitudes` and
 all user input) check the norm, or Hermiticity, unit trace and positivity (by
@@ -48,6 +46,7 @@ NORM_ATOL = 1e-10
 PSD_ATOL = 1e-8
 _ROW_BLOCK = 64  # rows per block where a whole 4^n temporary would be 16 MiB at n = 10
 _IMPOSSIBLE = 1e-12  # a branch less likely than this is never taken
+_EINSUM_BUFFER = 8192  # terms einsum sums from 0 per inner loop: numpy's fixed buffer, not np.setbufsize's
 
 
 @dataclass(frozen=True)
@@ -112,10 +111,12 @@ class DensityMatrix:
             raise ValueError("matrix is not Hermitian")
         if not abs(np.trace(mat).real - 1.0) <= NORM_ATOL:
             raise ValueError("trace is not 1")
+        diagonal, mat.flat[:: dim + 1] = mat.diagonal().copy(), mat.diagonal() + PSD_ATOL  # mat is our own copy
         try:  # every eigenvalue >= -PSD_ATOL, as a Cholesky factor of mat + PSD_ATOL I exists
-            np.linalg.cholesky(mat + PSD_ATOL * np.eye(dim))
+            np.linalg.cholesky(mat)
         except np.linalg.LinAlgError:
             raise ValueError("matrix has a significantly negative eigenvalue") from None
+        mat.flat[:: dim + 1] = diagonal  # the entries keep their bits
         mat.flags.writeable = False
         object.__setattr__(self, "entries", mat)
 
@@ -237,30 +238,39 @@ def _pool():
 
 @_memoised
 def _branches(steps: tuple, n: int, tensor: np.ndarray):
-    """Every outcome branch of the measurements, a tuple of (qubit, LocalBasis)
-    pairs, on amplitudes (2^n,) or a density matrix (2^n, 2^n). Returns
-    (states, probs): per branch b (first step most significant),
-    its state on the other qubits in label order, divided by its own raw
-    norm, and its probability, clipped at 0 and normalised to sum 1. Block b
-    holds bras rows 64b..64b+63: the steps' conj(LocalBasis.vectors()) (`_bras`),
-    the first `head` fixed at b's bits, multiplied out left to right by
-    broadcasting (np.kron's values). With the measured axes first, in step
-    order, a block applies as one matmul (pure) or einsum (density), joined in
-    block order; a density table of more than 4 blocks runs on `_pool()`."""
+    """Every outcome branch of the measurements, a tuple of (qubit, LocalBasis) pairs,
+    on amplitudes (2^n,) or a density matrix (2^n, 2^n): (states, probs), per branch
+    (first step most significant) its state on the other qubits in label order over
+    its own raw norm, and its probability, clipped at 0 and normalised to sum 1. Row
+    block b of the bras (`_bras`, the first `head` steps fixed at b's bits, multiplied
+    out left to right: np.kron's values) applies to the measured axes, moved first, as
+    one matmul (pure) or einsum (density). An all-qubit density table in label order at
+    m = 7..10 leaves its Z steps out: pattern a reads rho's block a in the whole table's
+    einsum chunks, skipping only exact zeros. Over 4 units of 7+ free steps: `_pool()`."""
     mixed, measured, m = tensor.ndim == 2, [q - 1 for q, _ in steps], len(steps)
     order = measured + [a for a in range(n) if a not in measured]
     t = tensor.reshape((2,) * n * tensor.ndim).transpose(order + [n + a for a in order] * mixed)
     t = t.reshape(2**m, 2 ** (n - m), 2**m, -1) if mixed else t.reshape(2**m, -1)
-    rows, head = [_bras(basis) for _, basis in steps], max(m - 6, 0)
+    zk = [k for k, (_, b) in enumerate(steps) if mixed and 6 < m <= 10 and b.kind == "Z" and order == list(range(m))]
+    zk = zk[len(zk) == m - 1 :]  # one free step would leave a 2 x 2 einsum, which sums in another order
+    rows, head = [_bras(b) for k, (_, b) in enumerate(steps) if k not in zk], max(m - len(zk) - 6, 0)
+    if zk:  # blocks[a]: the table rows of Z pattern a, read in chunks of the g that share an einsum buffer
+        blocks = np.argsort(np.arange(2**m) & sum(1 << m - 1 - k for k in zk), kind="stable").reshape(2 ** len(zk), -1)
 
     def block(b):  # numpy only, on the arrays above: it may run on a worker
         u = np.ones((1, 1), dtype=complex)
         for k, r in enumerate(rows):
             r = r[(b >> (head - 1 - k)) & 1][None] if k < head else r
             u = (u[:, None, :, None] * r[None, :, None, :]).reshape(len(r) * len(u), -1)
-        return np.einsum("ij,jkml,im->ikl", u, t, u.conj()) if mixed else u @ t
+        if not zk:
+            return np.einsum("ij,jkml,im->ikl", u, t, u.conj()) if mixed else u @ t
+        c, v, g = blocks[b >> head], u.conj(), int(np.searchsorted(blocks[0], _EINSUM_BUFFER >> m))
+        return sum(np.einsum("ij,jm,im->i", u[:, i : i + g], tensor[c[i : i + g, None], c], v)
+                   for i in range(0, len(c), g))
 
-    t = np.concatenate(list((_pool().map if mixed and head > 2 else map)(block, range(2**head))))
+    units = range(2 ** (len(zk) + head))  # unit b: Z pattern b >> head, bras rows from b's last `head` bits
+    t = np.concatenate(list((_pool().map if mixed and head and len(units) > 4 else map)(block, units)))
+    t = t[np.argsort(blocks, axis=None)].reshape(-1, 1, 1) if zk else t
     probs = np.trace(t, axis1=1, axis2=2).real if mixed else (abs(t) ** 2).sum(1)
     norm = np.where(probs > 0, probs if mixed else np.sqrt(probs), 1.0)
     t = t / norm.reshape((-1,) + (1,) * (t.ndim - 1))

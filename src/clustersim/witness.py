@@ -41,12 +41,14 @@ class ObservableSum:
 
 @dataclass(frozen=True)
 class TomographicSetting:
-    """One local Pauli basis per qubit, e.g. 'XXZZ'."""
+    """One local Pauli basis per qubit, e.g. 'XXZZ': the reader of a setting given as a str."""
 
     bases: str
     _MAX_QUBITS = 16  # its outcome-label table holds 2^n labels, 4.6 MiB at 16
 
     def __post_init__(self):
+        if not isinstance(self.bases, str):
+            raise TypeError(f"unsupported setting type {type(self.bases)}")
         if not self.bases or any(c not in "XYZ" for c in self.bases):
             raise ValueError(f"invalid setting {self.bases!r}")
         if len(self.bases) > self._MAX_QUBITS:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,26 @@ class TestBornDistribution:
                         sign = 1 - 2 * ((index >> (n - 1 - q)) & 1)
                         proj = np.kron(proj, (np.eye(2) + sign * dense_pauli(b)) / 2)
                     assert probs[index] == pytest.approx(np.trace(rho @ proj).real, abs=1e-12)
+
+    @pytest.mark.parametrize("state", [cluster4(), cluster4().to_density()])
+    def test_a_str_setting_is_read_by_tomographic_setting(self, state):
+        setting = TomographicSetting("XXZZ")
+        assert bitwise_equal(born_distribution(state, "XXZZ"), born_distribution(state, setting))
+        for make in (lambda s: sample_counts(state, s, 5000, 7), lambda s: exact_record(state, s, 10**6)):
+            from_str, read = make("XXZZ"), make(setting)
+            assert from_str.setting == setting and np.array_equal(from_str.counts, read.counts)
+
+    @pytest.mark.parametrize(
+        "call",
+        [born_distribution, lambda state, s: sample_counts(state, s, 100, 0), lambda state, s: exact_record(state, s)],
+        ids=["born_distribution", "sample_counts", "exact_record"],
+    )
+    def test_a_bad_setting_is_named(self, call):
+        with pytest.raises(ValueError, match="^invalid setting 'XXQZ'$"):
+            call(cluster4(), "XXQZ")
+        for bad in (3, None, ["X", "X", "Z", "Z"]):
+            with pytest.raises(TypeError, match="^" + re.escape(f"unsupported setting type {type(bad)}") + "$"):
+                call(cluster4(), bad)
 
     @pytest.mark.parametrize("state", [cluster4(), cluster4().to_density()])
     def test_wrong_length_setting_named(self, state):

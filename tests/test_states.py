@@ -517,6 +517,22 @@ class TestValidation:
             amps = scale * (rng.normal(size=16) + 1j * rng.normal(size=16))
             assert bitwise_equal(PureState.from_amplitudes(amps).amplitudes, amps / np.linalg.norm(amps))
 
+    @pytest.mark.parametrize("n", [1, 6, 10])
+    def test_entries_keep_their_bits(self, n, rng):
+        """The positivity check shifts the diagonal of the constructor's own copy
+        and writes it back: signed zeros and last bits survive."""
+        g = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+        mat = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        mat.flat[:: 2**n + 1] = np.conj(mat.diagonal().real.astype(complex))  # imaginary parts -0.0
+        given = mat.copy()
+        rho = DensityMatrix(n, mat)
+        assert bitwise_equal(rho.entries, given) and bitwise_equal(mat, given)
+
+    @pytest.mark.parametrize("entries", [[[math.nan, 0], [0, 1]], [[0.5, math.nan], [math.nan, 0.5]]])
+    def test_nan_fails_the_hermiticity_check_first(self, entries):
+        with pytest.raises(ValueError, match="^matrix is not Hermitian$"):
+            DensityMatrix(1, entries)
+
     def test_basis_index(self):
         assert basis_index("HHVV") == 3
         assert basis_index("VVHH") == 12
@@ -579,10 +595,19 @@ def _random_plan(n: int, m: int, mixed: bool, rng):
     return steps, tensor / (np.trace(tensor).real if mixed else np.linalg.norm(tensor))
 
 
+def _linear_cluster(n: int) -> PureState:
+    """A CZ chain on |+>^n, as stretch-mixed builds it."""
+    state = PureState.from_amplitudes(np.ones(2**n))
+    for q in range(1, n):
+        state = apply_gate(state, CZ, [q, q + 1])
+    return state
+
+
 class TestBranchesInBlocks:
     """`_branches` builds and contracts the bras 64 rows at a time, a density
-    table of more than 4 blocks on a per-process pool, and stays byte for
-    byte the serial contraction over the whole bras matrix."""
+    table of more than 4 units on a per-process pool, an all-qubit density table
+    at m = 7..10 without its Z steps, and stays byte for byte the serial
+    contraction over the whole bras matrix."""
 
     @pytest.mark.parametrize(
         "n,m,mixed",
@@ -620,6 +645,56 @@ class TestBranchesInBlocks:
         child = clustersim.states._pool()
         child.shutdown()
         assert child is not pool and clustersim.states._POOL == (-1, child)
+
+    @pytest.mark.parametrize(
+        "n,z", [(n, z) for n in (7, 8, 9, 10) for z in ("0", "1", "2", "m-1", "m") if (n, z) != (10, "0")]
+    )
+    def test_branches_with_z_steps_equal_the_whole_contraction(self, n, z):
+        """An all-qubit density table at m = 7..10 takes its Z steps out of the
+        bras and reads rho's diagonal blocks in the whole table's einsum chunks:
+        byte for byte the whole contraction, with m - 1 Z steps (one stays in
+        the bras) too. n = 10 with no Z step takes the unsplit path, tested above."""
+        rng = np.random.default_rng([n, len(z), int(z[0] == "m")])
+        count = {"0": 0, "1": 1, "2": 2, "m-1": n - 1, "m": n}[z]
+        kinds = ["dephased", "random"] if n < 10 else [("dephased", "random")[count % 2]]
+        for kind in kinds:
+            letters = np.array(["Z"] * count + list(rng.choice(["X", "Y"], size=n - count)))
+            bases = "".join(rng.permutation(letters))
+            if kind == "random":
+                g = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
+                state = DensityMatrix(n, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            else:
+                qubits = tuple(sorted(int(q) + 1 for q in rng.choice(n, size=3, replace=False)))
+                state = apply_noise(_linear_cluster(n), NoiseSpec("dephase", float(rng.uniform(0, 0.2)), qubits))
+            steps = tuple((q, LocalBasis(b)) for q, b in enumerate(bases, 1))
+            states, probs = _branches.__wrapped__(steps, n, state.entries)
+            ref_states, ref_probs = whole_branches(steps, n, state.entries)
+            assert bitwise_equal(states, ref_states) and bitwise_equal(probs, ref_probs), (kind, bases)
+            if n < 10:  # whole_born at n = 10 takes seconds more, for the same einsum
+                born = born_distribution(state, TomographicSetting(bases))
+                assert bitwise_equal(born, whole_born(state, bases)), (kind, bases)
+
+    def test_branches_exact_zero_entries_keep_their_signs(self):
+        """Dephasing a qubit at p = 1/2 makes rho's entries that differ in it
+        exact zeros; skipped and kept terms then include signed zeros."""
+        state = apply_noise(_linear_cluster(8), NoiseSpec("dephase", 0.5, (2, 5)))
+        for bases in ("ZXZXZXZX", "XZZYZZXZ", "ZZZZZZZY", "ZZZZZZZZ"):
+            steps = tuple((q, LocalBasis(b)) for q, b in enumerate(bases, 1))
+            table = _branches.__wrapped__(steps, 8, state.entries)
+            assert all(bitwise_equal(a, b) for a, b in zip(table, whole_branches(steps, 8, state.entries)))
+
+    def test_branches_with_z_steps_pooled_equal_one_worker(self, monkeypatch):
+        state = apply_noise(_linear_cluster(10), NoiseSpec("dephase", 0.1, (1, 4, 9)))
+        steps = tuple((q, LocalBasis(b)) for q, b in enumerate("XZYXXZYXZY", 1))
+        pooled = _branches.__wrapped__(steps, 10, state.entries)
+        monkeypatch.setattr(clustersim.states, "_POOL", (None, None))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one = clustersim.states._pool()
+        try:
+            alone = _branches.__wrapped__(steps, 10, state.entries)
+        finally:
+            one.shutdown()
+        assert all(bitwise_equal(a, b) for a, b in zip(pooled, alone))
 
 
 class TestBranchThreshold:
