@@ -522,7 +522,8 @@ class TestValidation:
         """The positivity check shifts the diagonal of the constructor's own copy
         and writes it back: signed zeros and last bits survive."""
         g = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
-        mat = g @ g.conj().T / np.trace(g @ g.conj().T).real
+        mat = g @ g.conj().T
+        mat /= np.trace(mat).real
         mat.flat[:: 2**n + 1] = np.conj(mat.diagonal().real.astype(complex))  # imaginary parts -0.0
         given = mat.copy()
         rho = DensityMatrix(n, mat)
@@ -662,7 +663,8 @@ class TestBranchesInBlocks:
             bases = "".join(rng.permutation(letters))
             if kind == "random":
                 g = rng.normal(size=(2**n, 3)) + 1j * rng.normal(size=(2**n, 3))
-                state = DensityMatrix(n, g @ g.conj().T / np.trace(g @ g.conj().T).real)
+                rho = g @ g.conj().T
+                state = DensityMatrix(n, rho / np.trace(rho).real)
             else:
                 qubits = tuple(sorted(int(q) + 1 for q in rng.choice(n, size=3, replace=False)))
                 state = apply_noise(_linear_cluster(n), NoiseSpec("dephase", float(rng.uniform(0, 0.2)), qubits))
