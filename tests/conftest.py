@@ -3,13 +3,13 @@ import json
 import math
 import re
 from collections import Counter, OrderedDict
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import pytest
 
 from clustersim import states
-from clustersim.classical_bound import MAX_TARGETS
+from clustersim.classical_bound import MAX_TARGETS, GroupingStrategy, _layer_tables, optimal_group_state
 from clustersim.states import RZ, DensityMatrix, LocalBasis, PauliString, PureState, _pauli_kernel
 from clustersim.witness import ObservableSum
 
@@ -199,6 +199,51 @@ def enumerated_bound(targets: list[PureState], bits: int):
         if value > best_value + 1e-15:
             best_value, best_partition = value, partition
     return best_value, best_partition
+
+
+def whole_bound(targets: list[PureState], bits: int):
+    """`classical_bound` without its memo, diagonalising every block sum: the
+    sums built by doubling, 128 at a time, and the subset DP over all of them.
+    The reference that the bound-pruned solver must equal byte for byte."""
+    n = len(targets)
+    nblocks = min(1 << min(bits, n), n)
+    proj = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in targets]
+    low, value = min(n, 7), np.empty(1 << n)
+    base = np.zeros((1 << low, *proj[0].shape), dtype=complex)
+    for j in range(low):
+        np.add(base[: 1 << j], proj[j], out=base[1 << j : 2 << j])
+    for high in range(1 << (n - low)):
+        chunk = reduce(np.add, [proj[j] for j in range(low, n) if high >> (j - low) & 1], base)
+        value[high << low : (high + 1) << low] = np.linalg.eigvalsh(chunk)[:, -1]
+    digit = sum((np.arange(1 << n) >> j & 1) * nblocks ** (n - 1 - j) for j in range(n))
+
+    full, shift = (1 << n) - 1, nblocks - 1
+    top = [(np.array([full]), (1 | np.arange(1 << (n - 1), dtype=np.int32) << 1)[None])]
+    layers = [(value[:: 1 << shift], shift * digit[:: 1 << shift], None)]
+    for k in range(2, nblocks + 1):
+        shift = nblocks - k
+        own, own_digit = value[:: 1 << shift], shift * digit[:: 1 << shift]
+        below_best, below_key, _ = layers[-1]
+        best, key, first = (np.zeros(own.size, t) for t in (float, np.int64, np.int32))
+        for sets, blocks in _layer_tables(n - shift) if k < nblocks else top:
+            rest = (sets[:, None] ^ blocks) >> 1
+            score = own[blocks] + below_best[rest]
+            rgs = own_digit[blocks] + below_key[rest]
+            best[sets] = score.max(axis=1)
+            rgs[score < best[sets, None] - 1e-12] = np.iinfo(np.int64).max
+            pick = rgs.argmin(axis=1)[:, None]
+            key[sets] = np.take_along_axis(rgs, pick, 1)[:, 0]
+            first[sets] = np.take_along_axis(blocks, pick, 1)[:, 0]
+        layers.append((best, key, first))
+
+    groups, rest, k = [], full, nblocks
+    while rest:
+        block = rest if k == 1 else int(layers[k - 1][2][rest >> (nblocks - k)]) << (nblocks - k)
+        groups.append(tuple(i for i in range(n) if block >> i & 1))
+        rest, k = rest ^ block, k - 1
+    total = sum(float(value[sum(1 << i for i in g)]) for g in groups) / n
+    prepared = tuple(optimal_group_state([targets[i] for i in g])[0] for g in groups)
+    return total, GroupingStrategy(tuple(groups), prepared, total)
 
 
 # --- sequential measurement oracle for the branch engine ----------------------

@@ -1,9 +1,10 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from clustersim.classical_bound import classical_bound, margin_report, optimal_group_state
+from clustersim.classical_bound import _trace_bound, classical_bound, margin_report, optimal_group_state
 from clustersim.mbqc import (
     SINGLE_QUBIT_INSTRUCTIONS,
     TWO_QUBIT_INSTRUCTIONS,
@@ -11,7 +12,13 @@ from clustersim.mbqc import (
     target_two_qubit,
 )
 from clustersim.states import PureState, named_state
-from conftest import enumerate_partitions, enumerated_bound, random_pure_state, stirling2
+from conftest import (
+    enumerate_partitions,
+    enumerated_bound,
+    random_pure_state,
+    stirling2,
+    whole_bound,
+)
 
 COS2_PI8 = math.cos(math.pi / 8) ** 2
 
@@ -156,7 +163,7 @@ class TestClassicalBound:
         with pytest.raises(ValueError, match="targets must have equal dimension"):
             classical_bound(targets, bits=1)
 
-    @pytest.mark.parametrize("bits", [1.5, 2.0, "2", -1])
+    @pytest.mark.parametrize("bits", [1.5, 2.0, "2", -1, True, False, np.True_])
     def test_bits_not_a_nonnegative_integer(self, rng, bits):
         targets = [random_pure_state(1, rng) for _ in range(3)]
         with pytest.raises(ValueError, match="bits"):
@@ -214,6 +221,77 @@ class TestAgainstEnumeration:
         _, strategy = classical_bound(targets, bits=2)
         assert strategy.groups == ((0,), (1,), (2, 3), (4,))
         self._agree(targets, 2)
+
+
+def _random_bases(rng, qubits: int, n: int) -> list:
+    """n targets: the columns of random unitaries on `qubits` qubits, one
+    orthonormal basis after another (every full basis sums to the identity)."""
+    dim, columns = 2**qubits, []
+    while len(columns) < n:
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        columns += list(np.linalg.qr(g)[0].T)
+    return [PureState.from_amplitudes(c) for c in columns[:n]]
+
+
+class TestPrunedTopLayer:
+    """The solver diagonalises only the block sums its DP can pick, chosen by
+    the trace bound, and keeps the bits of the solver that diagonalises all."""
+
+    @pytest.mark.parametrize("kind", ["random", "repeated", "bases", "paper"])
+    def test_trace_bound_is_never_below_the_block_value(self, kind):
+        rng = np.random.default_rng(["random", "repeated", "bases", "paper"].index(kind))
+        for qubits in (1, 2):
+            if kind == "random":
+                targets = [random_pure_state(qubits, rng) for _ in range(10)]
+            elif kind == "repeated":
+                pool = [random_pure_state(qubits, rng) for _ in range(2)]
+                targets = [pool[int(rng.integers(2))] for _ in range(10)]
+            elif kind == "bases":
+                targets = _random_bases(rng, qubits, 10)
+            else:
+                targets = [target_single(i) for i in SINGLE_QUBIT_INSTRUCTIONS] if qubits == 1 else [
+                    target_two_qubit(i) for i in TWO_QUBIT_INSTRUCTIONS]
+            n = len(targets)
+            proj = np.array([np.outer(s.amplitudes, s.amplitudes.conj()) for s in targets])
+            member = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+            sums = np.array([reduce(np.add, proj[np.flatnonzero(m)], np.zeros_like(proj[0])) for m in member])
+            top = np.linalg.eigvalsh(sums)[:, -1]
+            bound = _trace_bound(np.stack([s.amplitudes for s in targets]))
+            assert bound.shape == top.shape and (bound >= top).all(), (kind, qubits, (top - bound).max())
+
+    def test_bases_sum_to_the_identity_within_rounding(self):
+        # what the padding of s is for: a full basis has s^2 = 0 up to rounding
+        targets = _random_bases(np.random.default_rng(3), 2, 4)
+        bound = _trace_bound(np.stack([s.amplitudes for s in targets]))
+        assert 1 <= bound[-1] < 1 + 1e-5
+
+    def test_diagonalised_block_sums(self, memo, rng, monkeypatch):
+        eigvalsh, counted = np.linalg.eigvalsh, []
+
+        def spy(a):
+            counted.append(len(a) if a.ndim == 3 else 1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        targets = [random_pure_state(2, rng) for _ in range(12)]
+        classical_bound(targets, bits=1)
+        assert 0 < sum(counted) < 512  # of 4,096 block sums
+        counted.clear()
+        classical_bound(targets, bits=0)
+        assert sum(counted) == 1
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_bits_against_every_block_diagonalised(self, memo, n):
+        rng = np.random.default_rng([2026, n])
+        for kind in range(4):
+            targets = _tie_heavy_targets(rng, kind, n)
+            for bits in range(4):
+                value, strategy = classical_bound(targets, bits)
+                expected_value, expected = whole_bound(targets, bits)
+                assert np.float64(value).tobytes() == np.float64(expected_value).tobytes(), (kind, bits)
+                assert strategy.groups == expected.groups and strategy.average_fidelity == value
+                assert [s.amplitudes.tobytes() for s in strategy.prepared_states] == [
+                    s.amplitudes.tobytes() for s in expected.prepared_states]
 
 
 class TestMemoisedSolve:
