@@ -7,10 +7,9 @@ best fixed state per block, worth the top eigenvalue of the block's summed
 projectors. The best grouping comes from the set-partition dynamic programme
 over target subsets (Björklund, Husfeldt & Koivisto, SIAM J. Comput. 2009).
 It diagonalises only the block sums the programme can pick: with 3 or more
-blocks, every set without target 0; of the top layer's blocks (those with
-target 0), the ones whose trace bound m + s sqrt(d - 1) (Wolkowicz & Styan,
-Linear Algebra Appl. 29, 471, 1980) plus the rest's best (at 2 blocks, its
-bound) reaches one grouping's exact total less 1e-9, so results keep their bits.
+blocks every set without target 0, and of the blocks with target 0 those whose
+trace bound (Wolkowicz & Styan, Linear Algebra Appl. 29, 471, 1980), plus the
+rest's best, reaches the best exact total of 8 candidate groupings.
 A solve is memoised by block count and amplitudes (`states._memoised`).
 """
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .states import PureState, _array, _memoised, _trusted
 
-MAX_TARGETS = 12  # 12 targets solve in about 0.5 ms in 1 block, 1 ms in 2, 7-17 ms in 4 or 8 (2 vCPU, numpy 2.4)
+MAX_TARGETS = 12  # 12 targets solve in about 0.3 ms in 1 block, 0.8 ms in 2, 10-17 ms in 4 or 8 (2 vCPU, numpy 2.4)
 
 
 @dataclass(frozen=True)
@@ -96,30 +95,30 @@ def _trace_bound(amps: np.ndarray) -> np.ndarray:
 def _solve(nblocks: int, amps: np.ndarray):
     """`classical_bound` over at most `nblocks` blocks of the rows' targets."""
     n, targets = len(amps), [_trusted(PureState, amps.shape[1].bit_length() - 1, a) for a in amps]
-    proj = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in targets]
-    d, low, full = amps.shape[1], min(n, 7), (1 << n) - 1
+    proj, full = [np.outer(s.amplitudes, s.amplitudes.conj()) for s in targets], (1 << n) - 1
     # digit[S]: S's targets as base-nblocks digits 1, read from target 0.
     digit = sum((np.arange(1 << n) >> j & 1) * nblocks ** (n - 1 - j) for j in range(n))
 
-    # value[S]: summed fidelity of the best state for S, the top eigenvalue of its block sum,
-    # found by `fill` once (NaN before); base: the block sums below target low, by doubling.
-    value, base = np.full(1 << n, np.nan), np.zeros((1 << low, d, d), dtype=complex)
-    for j in range(low):
-        np.add(base[: 1 << j], proj[j], out=base[1 << j : 2 << j])
+    # value[S]: summed fidelity of the best state for the targets in bit mask S, the top
+    # eigenvalue of their projectors summed from zero in target order; NaN until `fill`.
+    value = np.full(1 << n, np.nan)
 
-    def fill(sets):  # summed from zero in increasing target index, 128 sets at a time
+    def fill(sets):  # the sets not yet read, 128 at a time
         sets = sets[np.isnan(value[sets])]
         for chunk in (sets[i : i + 128] for i in range(0, len(sets), 128)):
-            acc = base[chunk & (1 << low) - 1]
-            for j in range(low, n):
+            acc = np.zeros((len(chunk), *proj[0].shape), dtype=complex)
+            for j in range(n):
                 np.add(acc, proj[j], out=acc, where=(chunk >> j & 1).astype(bool)[:, None, None])
             value[chunk] = np.linalg.eigvalsh(acc)[:, -1]
 
     # The k-th last block holds the lowest target left: it has label nblocks-k
     # and what is left for it lies in targets nblocks-k .. n-1. layers[k-1][.]
     # [S >> nblocks-k]: over at most k blocks of S, the best total, the least
-    # restricted-growth number attaining it, its first block. The top layer keeps the
-    # blocks whose bound reaches, less 1e-9, a grouping's total (module docstring).
+    # restricted-growth number attaining it, its first block. The top layer keeps the blocks
+    # whose bound plus the rest's best (at 2 blocks, its bound) reaches, less 1e-9, the best
+    # exact total of 8 groupings, each of the best-bound block of one slice of the blocks, so
+    # no block it drops is within 1e-12 of a tie. (One grouping, of the best-bound block
+    # alone, cuts fewer blocks: 7% fewer grouping-search ops/s on 2 vCPUs.)
     shift = nblocks - 1
     layers = [(value[:: 1 << shift], shift * digit[:: 1 << shift], None)]
     if nblocks != 2:  # the inner layers read every set without target 0; one block, the full set
@@ -131,14 +130,13 @@ def _solve(nblocks: int, amps: np.ndarray):
         if k == nblocks:
             blocks, ub = 1 | np.arange(1 << (n - 1)) << 1, _trace_bound(amps)
             bound = ub[blocks] + (ub[full ^ blocks] if k == 2 else below_best[(full ^ blocks) >> 1])
-            rows = bound.reshape(min(8, bound.size), -1)  # b: the best bound of each of 8 slices
+            rows = bound.reshape(min(8, bound.size), -1)
             b = blocks[rows.argmax(1) + np.arange(len(rows)) * rows.shape[1]]
             fill(np.concatenate([b, full ^ b]))
             blocks = blocks[bound >= (value[b] + below_best[(full ^ b) >> 1]).max() - 1e-9]
             fill(np.concatenate([blocks, full ^ blocks]))
-        tables = _layer_tables(n - shift) if k < nblocks else [(np.array([full]), blocks[None])]
         best, key, first = (np.zeros(own.size, t) for t in (float, np.int64, np.int32))
-        for sets, blocks in tables:
+        for sets, blocks in _layer_tables(n - shift) if k < nblocks else [(np.array([full]), blocks[None])]:
             rest = (sets[:, None] ^ blocks) >> 1
             score = own[blocks] + below_best[rest]
             rgs = own_digit[blocks] + below_key[rest]
